@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments experiments-quick trace-smoke traffic-smoke fault-smoke compiled-smoke resilience-smoke analysis-smoke examples lint lint-smoke clean
+.PHONY: install test bench experiments experiments-quick trace-smoke traffic-smoke fault-smoke compiled-smoke resilience-smoke analysis-smoke golden-check bench-ab examples lint lint-smoke clean
 
 install:
 	pip install -e .
@@ -71,6 +71,22 @@ analysis-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.lint analysis --strict
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.analysis_smoke \
 		--dir results/smoke/analysis
+
+# behaviour lock: the whole quick suite against results/golden.quick.json
+# (per-run fingerprint multisets + result metrics per experiment)
+golden-check:
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.golden check
+
+# interleaved same-host A/B of the host-time benchmark: BASE (a git
+# revision, checked out into a temporary worktree) against this working
+# tree, alternating runs; prints both medians and head/base per metric
+BASE ?= HEAD
+WORKLOAD ?= chain
+PAIRS ?= 5
+RUN_SECONDS ?= 40
+bench-ab:
+	$(PYTHON) benchmarks/hostbench_ab.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seconds $(RUN_SECONDS)
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done

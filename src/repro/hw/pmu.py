@@ -7,12 +7,18 @@ used by the execution engine.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from types import MappingProxyType
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.common.config import PmuConfig
 from repro.common.errors import CounterError
 from repro.hw.counter import HardwareCounter
 from repro.hw.events import Domain, EventRates, cycles_until_count, events_in
+
+
+#: The phase memo of a stale programming: empty and read-only, so a lookup
+#: misses (sending the caller to :meth:`Pmu.phase_memo`) and a write fails.
+_STALE: Mapping[Any, Any] = MappingProxyType({})
 
 
 class Pmu:
@@ -37,25 +43,34 @@ class Pmu:
         #: object so an id can never be recycled while its entry is live).
         self._plans_user: dict[int, tuple[EventRates, tuple]] = {}
         self._plans_kernel: dict[int, tuple[EventRates, tuple]] = {}
-        #: per-programming-signature plan sets. Counter virtualization
-        #: reprograms the same specs on every context switch; keying the plan
-        #: dicts by the (event, domains) signature means an identical
-        #: reprogramming swaps the same dicts back in, so plan tuples stay
-        #: identical objects for the whole run (downstream caches key on
-        #: their ids).
-        self._plan_sets: dict[tuple, tuple[dict, dict]] = {
-            (): (self._plans_user, self._plans_kernel)
+        #: the current programming's phase memo: resolutions of the
+        #: engine's interned phase descriptors (counter adds and overflow
+        #: headroom), keyed by descriptor. Read it with a plain lookup: while
+        #: the programming is stale it is the empty read-only ``_STALE``, so
+        #: every lookup misses and the caller resolves via :meth:`phase_memo`.
+        self._memo: dict = {}
+        self.memo: Mapping[Any, Any] = self._memo
+        #: per-programming-signature (user plans, kernel plans, phase memo)
+        #: sets. Counter virtualization reprograms the same specs on every
+        #: context switch; keying by the (event, domains) signature means an
+        #: identical reprogramming swaps the same dicts back in, so plans and
+        #: phase resolutions are computed once per signature per run.
+        self._plan_sets: dict[tuple, tuple[dict, dict, dict]] = {
+            (): (self._plans_user, self._plans_kernel, self._memo)
         }
-        self._plans_dirty = False
         for ctr in self.counters:
             ctr.on_reprogram = self._invalidate_plans
 
     def _invalidate_plans(self) -> None:
-        self._plans_dirty = True
-        self.n_enabled = sum(1 for c in self.counters if c.enabled)
+        self.memo = _STALE
+        n = 0
+        for ctr in self.counters:
+            if ctr.enabled:
+                n += 1
+        self.n_enabled = n
 
     def flush_plans(self) -> None:
-        """Drop every cached accrual plan and plan set.
+        """Drop every cached accrual plan, phase memo and plan set.
 
         Needed when counter *geometry* changes out from under the signature
         key — the signature only covers (index, event, domains), so a
@@ -64,21 +79,25 @@ class Pmu:
         """
         self._plans_user = {}
         self._plans_kernel = {}
-        self._plan_sets = {(): (self._plans_user, self._plans_kernel)}
-        self._plans_dirty = True
+        self._plan_sets = {}
+        self.memo = _STALE
 
-    def _resolve_plans(self) -> None:
-        """Swap in the plan dicts matching the current counter programming."""
-        sig = tuple(
-            (index, ctr.event, ctr.count_user, ctr.count_kernel)
-            for index, ctr in enumerate(self.counters)
-            if ctr.enabled and ctr.event is not None
-        )
-        sets = self._plan_sets.get(sig)
-        if sets is None:
-            sets = self._plan_sets[sig] = ({}, {})
-        self._plans_user, self._plans_kernel = sets
-        self._plans_dirty = False
+    def phase_memo(self) -> dict:
+        """The writable phase memo of the current counter programming
+        (resolving the programming first if it changed since the last
+        call)."""
+        if self.memo is _STALE:
+            sig = tuple(
+                (index, ctr.event, ctr.count_user, ctr.count_kernel)
+                for index, ctr in enumerate(self.counters)
+                if ctr.enabled and ctr.event is not None
+            )
+            sets = self._plan_sets.get(sig)
+            if sets is None:
+                sets = self._plan_sets[sig] = ({}, {}, {})
+            self._plans_user, self._plans_kernel, self._memo = sets
+            self.memo = self._memo
+        return self._memo
 
     def accrual_plan(
         self, rates: EventRates, domain: Domain
@@ -91,8 +110,8 @@ class Pmu:
         signature and cached, so the per-chunk accounting path iterates a
         short tuple instead of re-filtering every counter against every rate.
         """
-        if self._plans_dirty:
-            self._resolve_plans()
+        if self.memo is _STALE:
+            self.phase_memo()
         cache = self._plans_user if domain is Domain.USER else self._plans_kernel
         hit = cache.get(id(rates))
         if hit is not None:

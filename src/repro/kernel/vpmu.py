@@ -122,7 +122,7 @@ class VirtualPmu:
         return [i for i, s in enumerate(self.slots) if s is not None]
 
     def n_active(self) -> int:
-        return sum(1 for s in self.slots if s is not None)
+        return len(self.slots) - self.slots.count(None)
 
     def read_accumulator(self, index: int) -> int:
         """The user-page accumulator load (LoadVAccum op semantics)."""

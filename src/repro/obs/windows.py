@@ -26,7 +26,10 @@ Exactness contract (property-tested):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import add, floordiv
 from typing import Any, Callable, Optional
 
 from repro.obs.hist import DEFAULT_BITS, LogHistogram
@@ -262,56 +265,69 @@ class WindowedStats:
         *,
         counter: str | None = None,
     ) -> None:
-        """Record ``(value, at)`` samples in one tight loop; optionally bump
-        windowed counter ``counter`` by 1 per sample in the same window.
+        """Record ``(value, at)`` samples, each run of consecutive samples
+        in one window as one bucket tally; optionally bump windowed counter
+        ``counter`` by 1 per sample in the same window.
 
         Bit-identical to calling :meth:`observe` (and :meth:`count`) per
         sample in the same order — high-rate probes batch their samples
         locally and flush here so recording cost stays off their hot path
         (the same buffering idea LiMiT itself uses for cheap reads).
         """
+        if not samples:
+            return
         wc = self.spec.window_cycles
         bits = self.spec.hist_bits
+        small = 1 << bits
         thist = self.totals.hist(stream, bits)
         tcounters = self.totals.counters
-        hot_index: int | None = None
-        whist = thist  # placeholder; reassigned before first use
-        wcounters = tcounters
-        for value, at in samples:
-            at = int(at)
-            index = (at if at > 0 else 0) // wc
-            if index != hot_index:
-                window = self._target(at)
-                whist = window.hist(stream, bits)
-                wcounters = window.counters
-                # late/spilled targets must re-resolve every sample (the
-                # late-observation counter lives in _target)
-                hot_index = index if window.index == index else None
-                if hot_index is None and counter is not None:
-                    # per-sample calls route the histogram point and the
-                    # counter bump through _target separately, counting
-                    # two late observations; stay bit-identical to that
-                    self.late_observations += 1
-            value = int(value)
-            if value < 0:
-                value = 0
-            if value < (1 << bits):
-                idx = value
-            else:
-                exp = value.bit_length() - bits
-                idx = (exp << bits) + (value >> exp)
-            for h in (whist, thist):
+        raw_values, raw_ats = zip(*samples)
+        values = list(map(int, raw_values))
+        if min(values) < 0:
+            values = [v if v > 0 else 0 for v in values]
+        ats = list(map(int, raw_ats))
+        if min(ats) < 0:
+            ats = [at if at > 0 else 0 for at in ats]
+        idxs = [
+            v if v < small
+            else ((e := v.bit_length() - bits) << bits) + (v >> e)
+            for v in values
+        ]
+        stop = 0
+        # each run of consecutive samples in one window goes in as one tally
+        for index, group in groupby(map(floordiv, ats, repeat(wc))):
+            start, stop = stop, stop + len(list(group))
+            window = self._target(ats[start])
+            if window.index != index:
+                # The late aggregate. _target counts each late observation
+                # (and per-sample calls route the counter bump through it
+                # as well, counting a second one), so it sees every sample.
+                for at in ats[start + 1:stop]:
+                    self._target(at)
+                if counter is not None:
+                    self.late_observations += stop - start
+            run = values[start:stop]
+            # Counter keeps first-seen key order, so new buckets enter the
+            # histograms in the order per-sample calls would add them
+            tally = Counter(idxs[start:stop])
+            k, total, low, high = stop - start, sum(run), min(run), max(run)
+            keys, adds = list(tally), list(tally.values())
+            for h in (window.hist(stream, bits), thist):
                 counts = h.counts
-                counts[idx] = counts.get(idx, 0) + 1
-                h.n += 1
-                h.total += value
-                if h.min_value is None or value < h.min_value:
-                    h.min_value = value
-                if h.max_value is None or value > h.max_value:
-                    h.max_value = value
+                # counts[key] += add for every bucket of the tally, in C
+                counts.update(
+                    zip(keys, map(add, map(counts.get, keys, repeat(0)), adds))
+                )
+                h.n += k
+                h.total += total
+                if h.min_value is None or low < h.min_value:
+                    h.min_value = low
+                if h.max_value is None or high > h.max_value:
+                    h.max_value = high
             if counter is not None:
-                wcounters[counter] = wcounters.get(counter, 0) + 1
-                tcounters[counter] = tcounters.get(counter, 0) + 1
+                wcounters = window.counters
+                wcounters[counter] = wcounters.get(counter, 0) + k
+                tcounters[counter] = tcounters.get(counter, 0) + k
 
     def _enforce_retention(self) -> None:
         while len(self.windows) > self.spec.retention:

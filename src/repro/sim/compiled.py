@@ -34,7 +34,7 @@ What gets batched (everything else is a segment breaker):
   release against live lock state and bails (``compiled_contended``) the
   moment the lock is held, owned elsewhere, or has sleepers to wake;
 * ``PmcSafeRead`` / ``PmcUnsafeRead`` — the whole composite read protocol
-  (the per-phase columns mirror the engine's ``_safe_read_phases``); the
+  (the per-phase columns mirror the engine's ``_safe_read`` split); the
   value and ground-truth capture are executed live through the composite
   fast path at the exact mid-batch cycle, so a read inside a batch is
   bit-identical to the interpreter's one-piece read.
@@ -314,7 +314,7 @@ def _classify(tw: ThreadWalk, costs: CostModel,
         elif t is ops.PmcSafeRead:
             # The whole composite safe-read protocol: six user library
             # phases, each flooring from its own cycle 0 (distinct slots),
-            # mirroring the engine's ``_safe_read_phases`` split exactly.
+            # mirroring the engine's ``_safe_read`` sequence split exactly.
             kinds[i] = K_SREAD
             for slot, cycles in enumerate((
                 costs.pmc_call_overhead, costs.pmc_read_begin,

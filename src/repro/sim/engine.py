@@ -39,6 +39,7 @@ import enum
 import heapq
 import os
 import time
+from collections import defaultdict
 from typing import Any, Callable, Generator
 
 from repro.common.config import SimConfig
@@ -111,110 +112,164 @@ class ThreadState(enum.Enum):
     FINISHED = "finished"
 
 
-class _OpExec:
-    """In-flight execution state of one op (a tiny phase state machine)."""
+class _Tally:
+    """A deferred ground-truth add: ``deltas`` ((Event.index, n) pairs) in
+    the user or kernel domain, counted per thread until folded."""
 
-    __slots__ = (
-        "op",
-        "stage",
-        "phase_cycles",
-        "phase_consumed",
-        "phase_rates",
-        "phase_flat",
-        "phase_domain",
-        "phase_preemptible",
-        "data",
-        "adv",
-    )
+    __slots__ = ("user", "deltas")
 
-    def __init__(self, op: ops.Op) -> None:
-        self.op = op
-        self.stage = "start"
-        # Advance handler, resolved once by _begin_op so multi-stage ops
-        # skip the type->handler dispatch on every subsequent piece.
-        self.adv = None
-        self.phase_cycles = 0
-        self.phase_consumed = 0
-        self.phase_rates: EventRates = _EMPTY_RATES
-        self.phase_flat = _EMPTY_FLAT
-        self.phase_domain = Domain.USER
-        self.phase_preemptible = True
-        # Most ops never need scratch state; allocated on first use.
-        self.data: dict[str, Any] | None = None
+    def __init__(self, user: bool, deltas: tuple[tuple[int, int], ...]) -> None:
+        self.user = user
+        self.deltas = deltas
 
-    def set_phase(
+
+class _Phase(_Tally):
+    """One phase descriptor: ``cycles`` cycles of ``rates`` in one domain.
+
+    Every fixed-cost phase (CAS, rdtsc, syscall entry/exit, the spin
+    quantum, futex and fixed syscall bodies, the PMC-read sub-phases, the
+    kernel paths charged by :meth:`Engine._account_kernel`) is *interned*:
+    one object per engine, built once. Each PMU programming resolves an
+    interned descriptor once, into its memo (:meth:`Engine._resolve`), so a
+    piece that runs the whole phase is one memo lookup plus integer adds.
+    Its non-CYCLES ground-truth adds (``deltas``, the whole-window
+    running-floor counts ``events_in(0, cycles, ppm)``) are deferred as a
+    per-thread count of the descriptor (:meth:`SimThread.fold`).
+
+    Compute windows are interned once they recur in a run. Other
+    variable phases (``work`` syscall bodies, compute windows seen once)
+    use transient descriptors (``interned`` False): one per thread and
+    kind, rewritten by each op that runs one. They always take the generic
+    per-chunk path, :meth:`Engine._account`.
+    """
+
+    __slots__ = ("cycles", "rates", "flat", "domain", "preemptible", "interned")
+
+    def __init__(
         self,
         cycles: int,
         rates: EventRates,
         domain: Domain,
         preemptible: bool,
+        interned: bool = True,
     ) -> None:
-        self.phase_cycles = cycles
-        self.phase_consumed = 0
-        self.phase_rates = rates
-        # Flat (event, ppm, index) triples, precomputed by EventRates, so
-        # per-chunk accounting never goes back through the Mapping interface.
-        self.phase_flat = rates.flat
-        self.phase_domain = domain
-        self.phase_preemptible = preemptible
+        self.user = domain is Domain.USER
+        self.deltas = (
+            tuple(
+                (idx, (cycles * ppm) // 1_000_000)
+                for _event, ppm, idx in rates.flat
+                if (cycles * ppm) // 1_000_000
+            )
+            if interned
+            else ()
+        )
+        self.cycles = cycles
+        self.rates = rates
+        #: (event, ppm, index) triples, so accrual never goes through the
+        #: rates Mapping interface
+        self.flat = rates.flat
+        self.domain = domain
+        self.preemptible = preemptible
+        self.interned = interned
 
-    @property
-    def phase_done(self) -> bool:
-        return self.phase_consumed >= self.phase_cycles
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<_Phase {self.cycles}cy {self.domain.value}>"
 
 
-_EMPTY_RATES = EventRates()
-_EMPTY_FLAT = _EMPTY_RATES.flat
+def _summed(phases: tuple[_Phase, ...]) -> _Tally:
+    """One user-domain tally adding up the deltas of ``phases``."""
+    total: dict[int, int] = {}
+    for ph in phases:
+        for idx, n in ph.deltas:
+            total[idx] = total.get(idx, 0) + n
+    return _Tally(True, tuple(total.items()))
+
+
+class _PhaseSeq:
+    """Interned user phases run back to back in one piece, in two parts:
+    for a composite PMC read, the sub-phases before the rdpmc value is
+    taken (part A) and after it (part B); for a spin round, spin then CAS.
+    Each part's ground truth is deferred as one tally."""
+
+    __slots__ = ("part_a", "part_b", "cycles_a", "cycles", "tally_a", "tally_b")
+
+    def __init__(
+        self, part_a: tuple[_Phase, ...], part_b: tuple[_Phase, ...]
+    ) -> None:
+        self.part_a = part_a
+        self.part_b = part_b
+        self.cycles_a = sum(ph.cycles for ph in part_a)
+        self.cycles = self.cycles_a + sum(ph.cycles for ph in part_b)
+        self.tally_a = _summed(part_a)
+        self.tally_b = _summed(part_b)
+
+
+class _OpExec:
+    """In-flight execution state of one op: the thread's reused exec
+    record (a tiny phase state machine).
+
+    ``adv`` is the handler run when the current phase ``ph`` completes;
+    stage transitions replace it, so no stage names are compared. The
+    remaining slots are per-op scratch that begin handlers reset.
+    """
+
+    __slots__ = (
+        "op",
+        "adv",
+        "ph",
+        "consumed",
+        # locks: the resolved lock and the acquire's wait bookkeeping
+        "lock",
+        "t0",
+        "spin_used",
+        "slept",
+        # syscall-class ops
+        "sys_name",
+        "handler",
+        "action",
+        "result",
+        "exc",
+        # composite PMC reads
+        "acc",
+        "hw",
+        "restarts",
+        "fpc",
+    )
+
+    def __init__(self) -> None:
+        self.op: Any = None
+        self.adv: Callable[..., None] = Engine._adv_result
+        self.ph: _Phase = _ZERO_PHASE
+        self.consumed = 0
+        self.lock: Any = None
+        self.t0 = 0
+        self.spin_used = 0
+        self.slept = False
+        self.sys_name = ""
+        self.handler: Any = None
+        self.action: Any = None
+        self.result: Any = None
+        self.exc: BaseException | None = None
+        self.acc = 0
+        self.hw = 0
+        self.restarts = 0
+        self.fpc = False
+
+
+#: "No bound" for simulated times (far beyond any max_cycles).
+_FAR = 1 << 62
+
+#: Distinct compute windows an engine tracks for interning.
+_WINDOWS_CAP = 1 << 12
+
+#: The zero-cycle phase: ops whose work is all in their advance handler.
+_ZERO_PHASE = _Phase(0, EventRates(), Domain.USER, True)
+
+#: A compute window not seen yet (see Engine._begin_compute).
+_UNSEEN = _Phase(0, _ZERO_PHASE.rates, Domain.USER, True, False)
 
 #: Enum members in definition order, for folding flat tallies back to dicts.
 _EVENT_MEMBERS = tuple(Event)
-
-#: Memoized whole-window accrual recipes, shared across engines. Nearly
-#: every accounted window is a whole small phase (0, cost] with a recurring
-#: cost constant — every kernel path, every library-call op — so the
-#: running-floor divisions for a (flat-rates, pmu-plan, window) triple are
-#: computed once per process and replayed as flat (index, n) adds. Keys use
-#: id(); each value pins the keyed objects so their ids cannot be recycled
-#: while the entry is live. Bounded by clear-on-cap (plans are per-engine
-#: objects, so long-lived processes would otherwise accumulate entries for
-#: dead engines).
-_RECIPE_CACHE: dict[tuple[int, int, int], tuple] = {}
-_RECIPE_CACHE_CAP = 1 << 15
-
-#: Keys observed exactly once. A recipe is only built (and its objects
-#: pinned) on the second sighting of a key; one-shot windows — e.g. random
-#: phase lengths drawn per request in open-loop workloads — take the generic
-#: accrual path instead of thrashing the cache with entries that never get
-#: replayed. Ids here are unpinned, so a recycled id can at worst promote a
-#: fresh key one sighting early, which is harmless (the recipe built is for
-#: the live objects).
-_RECIPE_SEEN: set[tuple[int, int, int]] = set()
-
-
-def _window_recipe(flat: tuple, plan: tuple, after: int) -> tuple:
-    """Memoized accrual recipe for the whole window ``(0, after]``:
-    ``(deltas, entries, flat, plan)`` with ``deltas`` the non-zero
-    ``(Event.index, n)`` ground-truth adds for the phase rates and
-    ``entries`` the non-zero ``(counter_index, counter, mask, n)`` adds for
-    the PMU plan, both by the running-floor rule (``events_in(0, after)``).
-    """
-    key = (id(flat), id(plan), after)
-    rec = _RECIPE_CACHE.get(key)
-    if rec is None:
-        deltas = tuple(
-            (idx, (after * ppm) // 1_000_000)
-            for _event, ppm, idx in flat
-            if (after * ppm) // 1_000_000
-        )
-        entries = tuple(
-            (index, ctr, mask, (after * ppm) // 1_000_000)
-            for index, ctr, ppm, mask in plan
-            if (after * ppm) // 1_000_000
-        )
-        if len(_RECIPE_CACHE) >= _RECIPE_CACHE_CAP:
-            _RECIPE_CACHE.clear()
-        rec = _RECIPE_CACHE[key] = (deltas, entries, flat, plan)
-    return rec
 
 
 def accrue_rate_events(
@@ -230,11 +285,17 @@ def accrue_rate_events(
     tally array ``rev``).
 
     This is the single place the ``(after*ppm)//1e6 - (before*ppm)//1e6``
-    ground-truth arithmetic lives for thread/region tallies; both the
-    per-chunk slow path (:meth:`Engine._account`) and the macro-stepping
-    fast path call it, so they cannot drift apart.
+    ground-truth arithmetic lives for windows charged chunk by chunk; both
+    the per-chunk generic path (:meth:`Engine._account`) and the
+    macro-stepping fast path call it, so they cannot drift apart.
     """
     if rev is None:
+        if before == 0:  # a whole window: nothing to subtract
+            for _event, ppm, idx in flat:
+                n = (after * ppm) // 1_000_000
+                if n:
+                    ev[idx] += n
+            return
         for _event, ppm, idx in flat:
             n = (after * ppm) // 1_000_000 - (before * ppm) // 1_000_000
             if n:
@@ -266,6 +327,10 @@ class SimThread:
         "send_value",
         "throw_exc",
         "cur",
+        "ex",
+        "compute_ph",
+        "work_ph",
+        "pending",
         "vpmu",
         "slot_saved",
         "slot_truth_base",
@@ -312,7 +377,16 @@ class SimThread:
         self.available_at = 0
         self.send_value: Any = None
         self.throw_exc: BaseException | None = None
+        #: the op in flight (``ex`` while one runs, None between ops)
         self.cur: _OpExec | None = None
+        #: this thread's exec record, reused by every op it runs
+        self.ex = _OpExec()
+        #: transient phases of its compute ops and ``work`` syscall bodies
+        self.compute_ph = _Phase(0, _ZERO_PHASE.rates, Domain.USER, True, False)
+        self.work_ph = _Phase(0, KERNEL_RATES, Domain.KERNEL, False, False)
+        #: deferred non-CYCLES ground truth: whole interned phases run
+        #: since the last fold, counted per descriptor (see :meth:`fold`)
+        self.pending: defaultdict[_Tally, int] = defaultdict(int)
         self.vpmu = VirtualPmu(n_slots)
         self.slot_saved: list[int | None] = [None] * n_slots
         self.slot_truth_base: list[int] = [0] * n_slots
@@ -357,9 +431,28 @@ class SimThread:
     def cpu_cycles(self) -> int:
         return self.user_cycles + self.kernel_cycles
 
+    def fold(self) -> None:
+        """Apply the deferred ground-truth adds of whole interned phases.
+
+        The engine charges a whole interned phase's CYCLES at once but
+        only counts the phase here; its other events reach ``ev_user``/
+        ``ev_kernel`` when something reads them: :meth:`slot_truth` for a
+        non-CYCLES slot, and result collection. (With a region open, user
+        phases are charged eagerly, since the region's tally needs them.)
+        """
+        ev_user = self.ev_user
+        ev_kernel = self.ev_kernel
+        for ph, k in self.pending.items():
+            ev = ev_user if ph.user else ev_kernel
+            for idx, n in ph.deltas:
+                ev[idx] += k * n
+        self.pending.clear()
+
     def slot_truth(self, spec: SlotSpec) -> int:
         """Ground-truth event count matching a slot's domain filter."""
         idx = spec.event.index
+        if idx and self.pending:  # CYCLES (index 0) is never deferred
+            self.fold()
         total = 0
         if spec.count_user:
             total += self.ev_user[idx]
@@ -441,9 +534,6 @@ class Engine:
         self._fast_reads = 0
         self._spin_batches = 0
         self._spin_rounds_batched = 0
-        #: per-(spin plan, library plan) one-round accrual recipes for the
-        #: contended-lock spin loop; values pin the plans (id-keyed).
-        self._spin_recipes: dict[tuple[int, int], tuple] = {}
         self._bailouts: dict[str, int] = {}
         # -- compiled execution tier (repro.sim.compiled) ----------------
         # Same switch pattern as macro-stepping, plus hard disables: the
@@ -465,34 +555,58 @@ class Engine:
         self._compiled_forks = 0
         self._compiled_lazy = 0
         self._ops_fetched = 0
-        tick = self._costs.timer_tick
-        # One timer tick's kernel ground-truth events: each tick is its own
-        # phase starting at cycle 0, so k batched ticks accrue exactly
-        # k * events_in(0, tick, ppm) per event (NOT events_in(0, k*tick)).
-        self._tick_pairs = tuple(
-            (event.index, events_in(0, tick, ppm))
-            for event, ppm in KERNEL_RATES.items()
-            if events_in(0, tick, ppm)
-        )
-        self._kernel_flat = KERNEL_RATES.flat
-        # -- composite PMC-read fast path -------------------------------
-        # Sub-phase cycle costs of the safe/unsafe read sequences, split at
-        # the rdpmc: the accumulator/hardware values and slot-truth
-        # bookkeeping must be taken with exactly the pre-rdpmc cycles
-        # accrued, so the one-piece fast path applies part A, reads, then
-        # applies part B. Each sub-phase accrues from its own cycle 0.
+        # -- interned phase descriptors ---------------------------------
         c = self._costs
-        self._safe_read_phases = (
-            (c.pmc_call_overhead, c.pmc_read_begin, c.pmc_load_accum, c.rdpmc),
-            (c.pmc_read_end, c.pmc_store_result),
+
+        def lib(cycles: int) -> _Phase:
+            return _Phase(cycles, LIBRARY_RATES, Domain.USER, True)
+
+        self._ph_cas = lib(c.cas)
+        self._ph_rdtsc = lib(c.rdtsc)
+        self._ph_rdpmc = lib(c.rdpmc)
+        self._ph_rdpmc_destructive = lib(c.rdpmc_destructive)
+        self._ph_read_begin = lib(c.pmc_read_begin)
+        self._ph_read_end = lib(c.pmc_read_end)
+        self._ph_load_accum = lib(c.pmc_load_accum)
+        self._ph_store_result = lib(c.pmc_store_result)
+        self._ph_call = lib(c.pmc_call_overhead)
+        self._ph_hook = lib(c.instrument_hook)
+        self._ph_spin = _Phase(c.spin_quantum, SPIN_RATES, Domain.USER, True)
+        #: kernel-path phases (KERNEL_RATES, non-preemptible) by cycles;
+        #: only fixed costs are interned (see :meth:`_kphase`)
+        self._kphases: dict[int, _Phase] = {}
+        self._ph_sys_entry = self._kphase(c.syscall_entry)
+        self._ph_sys_exit = self._kphase(c.syscall_exit)
+        self._ph_futex_wait = self._kphase(c.syscall_entry + c.futex_wait_kernel)
+        self._ph_futex_wake = self._kphase(c.syscall_entry + c.futex_wake_kernel)
+        self._ph_spawn = self._kphase(2600)
+        self._ph_join = self._kphase(600)
+        self._ph_sleep = self._kphase(900)
+        self._ph_yield = self._kphase(400)
+        # Each timer tick is its own phase starting at cycle 0, so k batched
+        # ticks accrue exactly k times one tick's events (NOT
+        # events_in(0, k*tick)): a macro step defers them as k counts.
+        self._ph_tick = self._kphase(c.timer_tick)
+        #: compute windows by (rate triples, cycles): None once seen, the interned
+        #: phase once seen twice (see :meth:`_begin_compute`)
+        self._windows: dict[tuple[tuple, int], _Phase | None] = {}
+        # -- composite PMC-read fast path -------------------------------
+        # The safe/unsafe read sequences split at the rdpmc: the
+        # accumulator/hardware values and slot-truth bookkeeping must be
+        # taken with exactly the pre-rdpmc cycles accrued, so the one-piece
+        # fast path applies part A, reads, then applies part B. Each
+        # sub-phase accrues from its own cycle 0.
+        self._safe_read = _PhaseSeq(
+            (self._ph_call, self._ph_read_begin, self._ph_load_accum,
+             self._ph_rdpmc),
+            (self._ph_read_end, self._ph_store_result),
         )
-        self._unsafe_read_phases = (
-            (c.pmc_call_overhead, c.pmc_load_accum, c.rdpmc),
-            (c.pmc_store_result,),
+        self._unsafe_read = _PhaseSeq(
+            (self._ph_call, self._ph_load_accum, self._ph_rdpmc),
+            (self._ph_store_result,),
         )
-        #: combined whole-read accrual recipes keyed (id(plan), phases);
-        #: each value pins its plan so the id cannot be recycled.
-        self._read_recipes: dict[tuple, tuple] = {}
+        #: memo key of one contended-lock spin round (spin quantum + CAS)
+        self._spin_round = _PhaseSeq((self._ph_spin, self._ph_cas), ())
         # -- main-loop actor selection ----------------------------------
         # Multi-core runs keep a lazily-invalidated heap of (now, core_id);
         # single-core runs bypass it entirely.
@@ -751,11 +865,16 @@ class Engine:
         sleep_heap = self._sleep_heap
         core_heap = self._core_heap
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        heappushpop = heapq.heappushpop
         max_cycles = self.config.max_cycles
         step = self._step
         single = cores[0] if len(cores) == 1 else None
         n_steps = 0
+        #: (now, core_id) of the core whose chain just ended, still
+        #: runnable: it re-enters the heap in the same operation that pops
+        #: the next candidate
+        ran: tuple[int, int] | None = None
+        entry: tuple[int, int] | None
         while self.live_count > 0:
             # -- pick the acting core: smallest (now, core_id) ------------
             # Due sleepers (wake time <= the would-be actor's clock) are
@@ -770,37 +889,29 @@ class Engine:
                     core = None if single.parked else single
                 horizon = sleep_heap[0][0] if sleep_heap else None
             else:
-                # The heap is lazily invalidated: an entry is stale when its
-                # core has parked or moved on (clocks only advance, so a
-                # stale entry never under-reports a core's time).
-                core = None
+                # Each runnable core has exactly one heap entry, (its clock,
+                # its id): pushed when it unparks (_make_ready) or when its
+                # chain ends (``ran``, folded into the next pop). A core's
+                # clock only moves while it is the actor, out of the heap,
+                # and only the actor can park, so no entry is ever stale.
                 while True:
-                    while core_heap:
-                        t, cid = core_heap[0]
-                        c = cores[cid]
-                        if c.parked or c.now != t:
-                            heappop(core_heap)
-                        else:
-                            break
+                    if ran is not None:
+                        entry = heappushpop(core_heap, ran)
+                        ran = None
+                    elif core_heap:
+                        entry = heappop(core_heap)
+                    else:
+                        entry = None
                     if sleep_heap and (
-                        not core_heap or sleep_heap[0][0] <= core_heap[0][0]
+                        entry is None or sleep_heap[0][0] <= entry[0]
                     ):
+                        ran = entry
                         wake_at, _, tid = heappop(sleep_heap)
                         self._make_ready(threads[tid], at=wake_at)
                         continue
-                    if core_heap:
-                        _, cid = heappop(core_heap)
-                        core = cores[cid]
                     break
-                horizon = None
-                while core_heap:
-                    t, cid = core_heap[0]
-                    c = cores[cid]
-                    if c.parked or c.now != t:
-                        heappop(core_heap)
-                    else:
-                        horizon = t
-                        break
+                core = cores[entry[1]] if entry is not None else None
+                horizon = core_heap[0][0] if core_heap else None
                 if sleep_heap and (
                     horizon is None or sleep_heap[0][0] < horizon
                 ):
@@ -833,7 +944,7 @@ class Engine:
                 if horizon is not None and core.now >= horizon:
                     break
             if single is None and not core.parked:
-                heappush(core_heap, (core.now, core.core_id))
+                ran = (core.now, core.core_id)
         # Chained pieces replace what were separate _step calls one-for-one,
         # so this total is bit-identical to the pre-fusion step count.
         self._n_steps = n_steps + self._n_fused
@@ -841,12 +952,13 @@ class Engine:
     def _step(self, core: Core) -> None:
         """Run one engine step of ``core``: service a due PMI or timer tick,
         or execute one piece of the current thread's op — fetch-and-begin,
-        one phase chunk, or the op's advance. The piece execution is fused
-        into this function (rather than delegated through per-piece helper
-        calls) because it runs once per simulated micro-op and per-call
-        overhead here dominates whole-sweep wall time.
+        one phase chunk, or the op's advance. Fetch, dispatch and chaining
+        are inlined here rather than split into per-piece helpers because
+        they run once per simulated micro-op, where call overhead dominates
+        whole-sweep wall time.
         """
-        if self._tracing:
+        tracing = self._tracing
+        if tracing:
             self._acting_core = core
         tid = core.current_tid
         if tid is None:
@@ -860,95 +972,139 @@ class Engine:
         if core.slice_ends_at is not None and now >= core.slice_ends_at:
             self._timer_tick(core, thread)
             return
-        ex = thread.cur
+        # A phase runs whole only if it ends by ``end`` (the end of the
+        # timeslice or a due PMI); the fused chain below stops at ``stop``
+        # (``end``, the chain horizon, or past max_cycles). While this
+        # thread holds the core these bounds only move when a PMI is armed,
+        # which breaks the chain, so they are combined once per call.
+        end = _FAR
+        if core.slice_ends_at is not None:
+            end = core.slice_ends_at
+        if core.pmi_due_at is not None and core.pmi_due_at < end:
+            end = core.pmi_due_at
+        stop = self.config.max_cycles + 1
+        if end < stop:
+            stop = end
+        horizon = self._horizon
+        if horizon is not None and horizon < stop:
+            stop = horizon
+        ex = thread.ex
         while True:
-            if ex is None:
-                if thread.ctable is not None:
-                    if not self._compiled_fetch(core, thread):
-                        return
-                    ex = thread.cur
-                    if ex is None:
+            if thread.cur is None:
+                fetched = (
+                    self._compiled_fetch(core, thread)
+                    if thread.ctable is not None
+                    else None
+                )
+                if fetched is False:
+                    return
+                if fetched:
+                    if thread.cur is None:
                         return  # a batch committed; next piece next step
                 else:
-                    if not self._fetch_next_op(core, thread):
+                    try:
+                        if thread.throw_exc is None:
+                            op = thread.gen.send(thread.send_value)
+                        else:
+                            exc = thread.throw_exc
+                            thread.throw_exc = None
+                            op = thread.gen.throw(exc)
+                    except StopIteration:
+                        self._finish_thread(core, thread)
                         return
-                    ex = thread.cur
-            consumed = ex.phase_consumed
-            cycles = ex.phase_cycles
+                    self._ops_fetched += 1
+                    thread.send_value = None
+                    ex.op = op
+                    try:
+                        begin = _BEGIN[type(op)]
+                    except KeyError:
+                        begin = _dispatch_resolve(
+                            _BEGIN, op,
+                            f"thread {thread.name!r} yielded non-op {op!r}",
+                        )
+                    begin(self, core, thread, ex)
+                    thread.cur = ex
+            ph = ex.ph
+            consumed = ex.consumed
+            cycles = ph.cycles
             if consumed < cycles:
-                remaining = cycles - consumed
-                pmu = core.pmu
-                plan = (
-                    pmu.accrual_plan(ex.phase_rates, ex.phase_domain)
-                    if pmu.n_enabled
-                    else ()
-                )
-                if ex.phase_preemptible:
-                    # Macro-step candidate: a preemptible phase that outlives
-                    # the current timeslice (i.e. the slow path would hit at
-                    # least one timer tick before the phase ends).
+                if (
+                    consumed == 0
+                    and ph.interned
+                    and (not ph.preemptible or end - now >= cycles)
+                    and self._run_whole(core, thread, ph)
+                ):
+                    # The whole phase ran as one piece: it fits the
+                    # timeslice and any due PMI, and wraps no counter.
+                    ex.consumed = cycles
+                else:
+                    remaining = cycles - consumed
+                    # Macro-step candidate: a preemptible phase that
+                    # outlives the current timeslice (i.e. the slow path
+                    # would hit at least one timer tick before it ends).
                     if (
-                        self._macro
+                        ph.preemptible
+                        and self._macro
                         and remaining > core.slice_ends_at - now
                         and self._try_macro_step(core, thread, ex)
                     ):
                         return
-                    # limit only ever shrinks from `remaining`, so the final
-                    # chunk is max(1, limit) — identical to
-                    # max(1, min(remaining, limit)).
-                    limit = remaining
-                    bound = core.slice_ends_at
-                    if bound is not None and bound - now < limit:
-                        limit = bound - now
-                    bound = core.pmi_due_at
-                    if bound is not None and bound - now < limit:
-                        limit = bound - now
-                    # split at the first counter-overflow crossing (the inline
-                    # form of Pmu.cycles_to_next_overflow on the resolved plan)
-                    for _index, ctr, ppm, mask in plan:
-                        d = cycles_until_count(consumed, ppm, mask + 1 - ctr.value)
-                        if d is not None and d < limit:
-                            limit = d
-                    chunk = limit if limit > 0 else 1
-                else:
-                    chunk = remaining
-                after = consumed + chunk
-                self._account(
-                    core, thread, ex.phase_domain, ex.phase_flat, plan,
-                    consumed, after,
-                )
-                ex.phase_consumed = after
-                if after < cycles:
-                    return
-            self._advance(core, thread, ex)
+                    pmu = core.pmu
+                    plan = (
+                        pmu.accrual_plan(ph.rates, ph.domain)
+                        if pmu.n_enabled
+                        else ()
+                    )
+                    if ph.preemptible:
+                        # limit only ever shrinks from `remaining`, so the
+                        # final chunk is max(1, limit) — identical to
+                        # max(1, min(remaining, limit)).
+                        limit = remaining
+                        bound = core.slice_ends_at
+                        if bound is not None and bound - now < limit:
+                            limit = bound - now
+                        bound = core.pmi_due_at
+                        if bound is not None and bound - now < limit:
+                            limit = bound - now
+                        # split at the first counter-overflow crossing (the
+                        # inline form of Pmu.cycles_to_next_overflow), looked
+                        # for only when the window can reach it
+                        for _index, ctr, ppm, mask in plan:
+                            need = mask + 1 - ctr.value
+                            if (
+                                ((consumed + limit) * ppm) // 1_000_000
+                                - (consumed * ppm) // 1_000_000
+                                >= need
+                            ):
+                                d = cycles_until_count(consumed, ppm, need)
+                                if d is not None and d < limit:
+                                    limit = d
+                        chunk = limit if limit > 0 else 1
+                    else:
+                        chunk = remaining
+                    after = consumed + chunk
+                    self._account(core, thread, ph, plan, consumed, after)
+                    ex.consumed = after
+                    if after < cycles:
+                        return
+            ex.adv(self, core, thread, ex)
             # Chain straight into the thread's next piece — the following
             # stage of a multi-phase op, or the fetch of its next op — when
             # the main loop would deterministically re-pick this core
             # anyway: the checks below mirror its chain conditions and this
             # function's own preamble exactly, so the fetch/_account/
-            # _advance sequence is identical to stepping one piece per call
+            # advance sequence is identical to stepping one piece per call
             # and only the per-step dispatch overhead is elided. Each fused
             # piece is tallied so sim_events stays the dispatch-independent
-            # piece count it was before fusion existed.
-            if (
-                self._tracing
-                or core.current_tid != tid
-                or core.parked
-                or self._chain_break
-                or self.live_count == 0
-                or core.now > self.config.max_cycles
-            ):
+            # piece count it was before fusion existed. (While this thread
+            # still holds the core, the core is neither parked nor is the
+            # run over, so those main-loop conditions need no check here.)
+            if tracing or core.current_tid != tid or self._chain_break:
                 return
-            h = self._horizon
             now = core.now
-            if h is not None and now >= h:
-                return
-            if core.pmi_due_at is not None and now >= core.pmi_due_at:
-                return
-            if core.slice_ends_at is not None and now >= core.slice_ends_at:
+            if now >= stop:
                 return
             self._n_fused += 1
-            ex = thread.cur
 
     # ------------------------------------------------------------------
     # thread lifecycle
@@ -1005,11 +1161,11 @@ class Engine:
         thread.state = ThreadState.READY
         thread.available_at = at
         thread.block_key = None
+        runqueues = self.scheduler.runqueues
         idle = [
             c.core_id
             for c in self.machine.cores
-            if (c.parked or c.current_tid is None)
-            and self.scheduler.queue_length(c.core_id) == 0
+            if (c.parked or c.current_tid is None) and not runqueues[c.core_id]
         ]
         core_id = self.scheduler.place(thread.core_id, idle)
         self.scheduler.enqueue(thread.tid, core_id)
@@ -1159,7 +1315,7 @@ class Engine:
         if thread.mux is not None and len(thread.mux.specs) > 1:
             self._account_kernel(core, thread, 2 * self._costs.wrmsr)
             self._mux_rotate(core, thread)
-        if self.scheduler.queue_length(core.core_id) > 0:
+        if self.scheduler.runqueues[core.core_id]:
             self._switch_out(core, thread, requeue=True, preempted=True)
         else:
             core.slice_ends_at = core.now + self.config.kernel.timeslice_cycles
@@ -1175,29 +1331,36 @@ class Engine:
 
     def _program_counters(self, core: Core, thread: SimThread) -> None:
         pmu = core.pmu
-        for idx in thread.vpmu.active_indices():
-            spec = thread.vpmu.slots[idx]
-            ctr = pmu.counter(idx)
+        counters = pmu.counters  # one counter per vpmu slot
+        for idx, spec in enumerate(thread.vpmu.slots):
+            if spec is None:
+                continue
+            ctr = counters[idx]
             ctr.program(spec.event, spec.count_user, spec.count_kernel)
             if spec.mode == "count":
-                ctr.write(0)
+                ctr.value = 0
             else:
                 saved = thread.slot_saved[idx]
                 if saved is None:
                     saved = max(0, ctr.threshold - spec.period)
                 ctr.write(saved)
+        # resolve the new programming now: the switch path's own kernel
+        # phase is the next lookup in the phase memo
+        pmu.phase_memo()
 
     def _fold_counters(self, core: Core, thread: SimThread) -> None:
-        pmu = core.pmu
-        for idx in thread.vpmu.active_indices():
-            ctr = pmu.counter(idx)
+        counters = core.pmu.counters  # one counter per vpmu slot
+        vpmu = thread.vpmu
+        for idx, spec in enumerate(vpmu.slots):
+            if spec is None:
+                continue
+            ctr = counters[idx]
             if ctr.overflow_pending:
                 self._apply_overflow(core, thread, idx)
-            spec = thread.vpmu.slots[idx]
             if spec.mode == "count":
-                thread.vpmu.fold(idx, ctr.read())
+                vpmu.fold(idx, ctr.value)
             else:
-                thread.slot_saved[idx] = ctr.read()
+                thread.slot_saved[idx] = ctr.value
             ctr.deprogram()
 
     def _apply_overflow(self, core: Core, thread: SimThread, idx: int) -> None:
@@ -1308,14 +1471,11 @@ class Engine:
         so counting slots recover them through the normal overflow path
         (``vaccum += wraps * new_threshold`` with the *new* threshold equals
         exactly the bits shifted out) and nothing is lost. Cached accrual
-        plans embed the old mask, so every PMU's plan caches are flushed;
-        sampling preloads saved under the old width are clamped.
+        plans and phase memos embed the old mask, so every narrowed PMU's
+        caches are flushed; sampling preloads saved under the old width
+        are clamped.
         """
         mask = (1 << width) - 1
-        # Per-engine read/spin recipes bake the old masks into their
-        # entries (and are keyed by plan ids the flush is about to free).
-        self._read_recipes.clear()
-        self._spin_recipes.clear()
         for c in self.machine.cores:
             changed = False
             for ctr in c.pmu.counters:
@@ -1364,34 +1524,144 @@ class Engine:
         due = core.now + skid
         if core.pmi_due_at is None or due < core.pmi_due_at:
             core.pmi_due_at = due
+            # an earlier due PMI ends the current chain (Engine._step
+            # folds the due time into its chain bound once per call)
+            self._chain_break = True
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
 
+    def _kphase(self, cycles: int) -> _Phase:
+        """The interned kernel-path phase of ``cycles`` cycles (KERNEL_RATES,
+        non-preemptible). Only fixed costs come here — cost constants and
+        their small combinations — so the table stays small."""
+        ph = self._kphases.get(cycles)
+        if ph is None:
+            ph = self._kphases[cycles] = _Phase(
+                cycles, KERNEL_RATES, Domain.KERNEL, False
+            )
+        return ph
+
+    def _resolve(self, pmu: Any, ph: _Phase) -> tuple:
+        """Resolve interned ``ph`` against ``pmu``'s current programming
+        into its memo: one ``(counter, limit, n)`` add per counter the whole
+        phase moves, ``n = events_in(0, cycles, ppm)``, where ``limit`` is
+        the largest counter value the add cannot wrap (overflow headroom).
+        """
+        memo = pmu.phase_memo()
+        adds: tuple | None = memo.get(ph)
+        if adds is not None:  # resolved before; the caller saw a stale memo
+            return adds
+        adds = ()
+        if pmu.n_enabled:
+            cycles = ph.cycles
+            adds = tuple(
+                (ctr, mask - n, n)
+                for _index, ctr, ppm, mask in pmu.accrual_plan(
+                    ph.rates, ph.domain
+                )
+                if (n := (cycles * ppm) // 1_000_000)
+            )
+        memo[ph] = adds
+        return adds
+
+    def _resolve_seq(self, pmu: Any, seq: _PhaseSeq) -> tuple:
+        """Resolve a phase sequence like :meth:`_resolve`: per-part counter
+        adds ``(counter, n)`` (each sub-phase accrues from its own cycle 0,
+        so a part's add is a sum of ``events_in(0, cycles)``) plus
+        ``(counter, mask, n)`` totals over both parts for the wrap checks."""
+        memo = pmu.phase_memo()
+        rec: tuple | None = memo.get(seq)
+        if rec is not None:  # resolved before; the caller saw a stale memo
+            return rec
+        parts: list[dict[int, list]] = [{}, {}]
+        totals: dict[int, list] = {}
+        if pmu.n_enabled:
+            for adds, part in zip(parts, (seq.part_a, seq.part_b)):
+                for ph in part:
+                    for index, ctr, ppm, mask in pmu.accrual_plan(
+                        ph.rates, ph.domain
+                    ):
+                        n = (ph.cycles * ppm) // 1_000_000
+                        if n:
+                            adds.setdefault(index, [ctr, 0])[1] += n
+                            totals.setdefault(index, [ctr, mask, 0])[2] += n
+        rec = (
+            tuple((c, n) for c, n in parts[0].values()),
+            tuple((c, n) for c, n in parts[1].values()),
+            tuple((c, m, n) for c, m, n in totals.values()),
+        )
+        memo[seq] = rec
+        return rec
+
+    def _run_whole(self, core: Core, thread: SimThread, ph: _Phase) -> bool:
+        """Run all of interned phase ``ph`` as one piece, unless a counter
+        would wrap inside it; return False (with nothing changed) then, so
+        the caller takes the generic path that splits at the wrap.
+
+        Cycles are charged at once; the phase's other ground-truth events
+        are deferred as a count of ``ph`` (:meth:`SimThread.fold`), except
+        that a user phase inside an open region is charged eagerly, since
+        the region's tally needs its events too.
+        """
+        try:
+            adds = core.pmu.memo[ph]
+        except KeyError:
+            adds = self._resolve(core.pmu, ph)
+        for ctr, limit, n in adds:
+            value = ctr.value
+            if value > limit:
+                for done, _limit, m in adds:  # undo the adds made so far
+                    if done is ctr:
+                        return False
+                    done.value -= m
+            ctr.value = value + n
+        cycles = ph.cycles
+        core.now += cycles
+        core.busy_cycles += cycles
+        if ph.user:
+            core.user_cycles += cycles
+            thread.user_cycles += cycles
+            thread.ev_user[0] += cycles  # Event.CYCLES.index == 0
+            if thread.region_stack:
+                ev = thread.ev_user
+                rev = thread.region_ev[thread.region_stack[-1]]
+                rev[0] += cycles
+                for idx, n in ph.deltas:
+                    ev[idx] += n
+                    rev[idx] += n
+                return True
+        else:
+            core.kernel_cycles += cycles
+            thread.kernel_cycles += cycles
+            thread.ev_kernel[0] += cycles
+            if thread.region_stack:
+                thread.regions[thread.region_stack[-1]].kernel_cycles += cycles
+        thread.pending[ph] += 1
+        return True
+
     def _account(
         self,
         core: Core,
         thread: SimThread,
-        domain: Domain,
-        flat: tuple,
+        ph: _Phase,
         plan: tuple,
         before: int,
         after: int,
     ) -> None:
-        """Charge ``after - before`` cycles of a phase to the machine,
-        thread, ground truth, active region and PMU counters.
+        """Charge the ``(before, after]`` window of phase ``ph`` to the
+        machine, thread, ground truth, active region and PMU counters — the
+        generic path, for partial windows, transient phases and windows
+        that wrap a counter.
 
-        ``flat`` is the phase's (event, ppm, index) triples (``rates.flat``,
-        resolved once per phase by :meth:`_OpExec.set_phase`); ``plan`` is
-        the PMU accrual plan for (rates, domain), resolved by the caller —
-        ``()`` when no counter is programmed.
+        ``plan`` is the PMU accrual plan for the phase's (rates, domain),
+        resolved by the caller — ``()`` when no counter is programmed.
         """
         chunk = after - before
         core.now += chunk
         core.busy_cycles += chunk
-        user = domain is Domain.USER
-        if user:
+        if ph.user:
             core.user_cycles += chunk
             thread.user_cycles += chunk
             ev = thread.ev_user
@@ -1400,52 +1670,16 @@ class Engine:
             thread.kernel_cycles += chunk
             ev = thread.ev_kernel
         ev[0] += chunk  # Event.CYCLES.index == 0
-        region_stack = thread.region_stack
         rev = None
-        if region_stack:
-            name = region_stack[-1]
-            if user:
+        if thread.region_stack:
+            name = thread.region_stack[-1]
+            if ph.user:
                 rev = thread.region_ev[name]
                 rev[0] += chunk
             else:
                 thread.regions[name].kernel_cycles += chunk
-        if before == 0 and after <= 65536:
-            key = (id(flat), id(plan), after)
-            rec = _RECIPE_CACHE.get(key)
-            if rec is None and key in _RECIPE_SEEN:
-                rec = _window_recipe(flat, plan, after)
-            if rec is not None:
-                deltas = rec[0]
-                if rev is None:
-                    for idx, n in deltas:
-                        ev[idx] += n
-                else:
-                    for idx, n in deltas:
-                        ev[idx] += n
-                        rev[idx] += n
-                entries = rec[1]
-                if entries:
-                    overflowed = False
-                    on_overflow = core.pmu.on_overflow
-                    for index, ctr, mask, n in entries:
-                        v = ctr.value + n
-                        if v <= mask:
-                            ctr.value = v
-                        elif ctr.accrue(n):
-                            overflowed = True
-                            if on_overflow is not None:
-                                on_overflow(index)
-                    if overflowed:
-                        self._arm_pmi(core, thread)
-                return
-            # First sighting: remember the key and take the generic path
-            # below (identical arithmetic); the recipe is built only if the
-            # same window recurs.
-            if len(_RECIPE_SEEN) >= _RECIPE_CACHE_CAP:
-                _RECIPE_SEEN.clear()
-            _RECIPE_SEEN.add(key)
-        if flat:
-            accrue_rate_events(flat, before, after, ev, rev)
+        if ph.flat:
+            accrue_rate_events(ph.flat, before, after, ev, rev)
         if plan:
             overflowed = False
             on_overflow = core.pmu.on_overflow
@@ -1465,35 +1699,32 @@ class Engine:
     def _account_kernel(self, core: Core, thread: SimThread, cycles: int) -> None:
         """One-shot non-preemptible kernel phase."""
         if cycles:
-            pmu = core.pmu
-            plan = (
-                pmu.accrual_plan(KERNEL_RATES, Domain.KERNEL)
-                if pmu.n_enabled
-                else ()
-            )
-            self._account(
-                core, thread, Domain.KERNEL, self._kernel_flat, plan, 0, cycles,
-            )
+            ph = self._kphase(cycles)
+            if not self._run_whole(core, thread, ph):
+                pmu = core.pmu
+                plan = (
+                    pmu.accrual_plan(KERNEL_RATES, Domain.KERNEL)
+                    if pmu.n_enabled
+                    else ()
+                )
+                self._account(core, thread, ph, plan, 0, cycles)
 
     # ------------------------------------------------------------------
     # op execution
     # ------------------------------------------------------------------
 
-    def _fetch_next_op(self, core: Core, thread: SimThread) -> bool:
-        try:
-            if thread.throw_exc is not None:
-                exc = thread.throw_exc
-                thread.throw_exc = None
-                op = thread.gen.throw(exc)
-            else:
-                op = thread.gen.send(thread.send_value)
-        except StopIteration:
-            self._finish_thread(core, thread)
-            return False
-        self._ops_fetched += 1
-        thread.send_value = None
-        thread.cur = self._begin_op(core, thread, op)
-        return True
+    def _begin(self, core: Core, thread: SimThread, op: ops.Op) -> None:
+        """Begin an already-fetched ``op`` in the thread's exec record (the
+        compiled tier's entry; :meth:`_step` inlines the same dispatch)."""
+        begin = _BEGIN.get(type(op))
+        if begin is None:
+            begin = _dispatch_resolve(
+                _BEGIN, op, f"thread {thread.name!r} yielded non-op {op!r}"
+            )
+        ex = thread.ex
+        ex.op = op
+        begin(self, core, thread, ex)
+        thread.cur = ex
 
     def _bail(self, reason: str) -> bool:
         """Count a fast-path bailout; always False (for `return` chaining)."""
@@ -1504,11 +1735,13 @@ class Engine:
     # compiled execution tier (repro.sim.compiled)
     # ------------------------------------------------------------------
 
-    def _compiled_fetch(self, core: Core, thread: SimThread) -> bool:
+    def _compiled_fetch(self, core: Core, thread: SimThread) -> bool | None:
         """Fetch the thread's next op with its segment table consulted.
 
-        Mirrors :meth:`_fetch_next_op`'s contract (False = the thread
-        finished). When the fetched op matches its prediction at the head
+        Returns True once the op has begun (or a batch committed), False
+        when the thread finished, and None when the table was dropped
+        before fetching — :meth:`_step` then fetches the op interpreted.
+        When the fetched op matches its prediction at the head
         of a batchable segment and nothing can interleave, a whole span of
         ops is committed in bulk (``thread.cur`` stays None and the caller
         returns); otherwise the op is interpreted normally with the table
@@ -1521,7 +1754,7 @@ class Engine:
             # finally blocks; predictions after this point are worthless.
             thread.ctable = None
             thread.cfork = None
-            return self._fetch_next_op(core, thread)
+            return None
         fk = thread.cfork
         if fk is not None:
             # The op just consumed was a two-valued fork point: resolve the
@@ -1540,11 +1773,11 @@ class Engine:
             else:
                 self._bail("compiled_fork_miss")
                 thread.ctable = None
-                return self._fetch_next_op(core, thread)
+                return None
         i = thread.cpos
         if i >= tbl.n:
             thread.ctable = None
-            return self._fetch_next_op(core, thread)
+            return None
         try:
             op = thread.gen.send(thread.send_value)
         except StopIteration:
@@ -1561,7 +1794,7 @@ class Engine:
                 thread.cfork = tbl.forks[i]
             self._ops_fetched += 1
             thread.send_value = None
-            thread.cur = self._begin_op(core, thread, op)
+            self._begin(core, thread, op)
             return True
         if op_matches(op, tbl.ops[i], tbl.kinds[i]):
             thread.cmisses = 0
@@ -1603,7 +1836,7 @@ class Engine:
                     thread.ctable = None
         self._ops_fetched += 1
         thread.send_value = None
-        thread.cur = self._begin_op(core, thread, op)
+        self._begin(core, thread, op)
         return True
 
     def _compiled_batch(
@@ -1612,7 +1845,7 @@ class Engine:
     ) -> bool | None:
         """Try to batch-execute predicted ops ``[i, e)`` (op ``i`` already
         fetched — ``op0`` — and verified). Returns True/False with
-        :meth:`_fetch_next_op` semantics on success, or None when the
+        :meth:`_compiled_fetch` semantics on success, or None when the
         exactness caps leave fewer than MIN_BATCH ops — the caller then
         interprets the already-fetched op.
 
@@ -1783,19 +2016,16 @@ class Engine:
                 # then replay the whole read through the interpreter's own
                 # one-piece commit and rebase the span after it.
                 self._commit_batch(core, thread, tbl, i, j, flush, now0, u0, k0)
-                ex = _OpExec(op)
-                phases = (
-                    self._safe_read_phases
-                    if kind == K_SREAD
-                    else self._unsafe_read_phases
-                )
-                if not self._try_fast_read(core, thread, ex, phases):
+                ex = thread.ex  # free: no op is in flight between batch ops
+                ex.op = op
+                seq = self._safe_read if kind == K_SREAD else self._unsafe_read
+                if not self._try_fast_read(core, thread, ex, seq):
                     return self._batch_interrupt(
                         core, thread, tbl, i0, j, j, j,
                         core.now, thread.user_cycles, thread.kernel_cycles,
                         op, "compiled_read",
                     )
-                val = ex.data["value"]
+                val = ex.result
                 i = j + 1
                 base_c = cyc[i]
                 now0 = core.now
@@ -1867,7 +2097,7 @@ class Engine:
                     thread.ctable = None
                 thread.cpos = j
                 thread.send_value = None
-                thread.cur = self._begin_op(core, thread, op)
+                self._begin(core, thread, op)
                 return True
         self._commit_batch(core, thread, tbl, i, e, flush, now0, u0, k0)
         self._compiled_segments += 1
@@ -1897,7 +2127,7 @@ class Engine:
         self._bail(reason)
         thread.cpos = j + 1
         thread.send_value = None
-        thread.cur = self._begin_op(core, thread, op)
+        self._begin(core, thread, op)
         return True
 
     def _batch_region_flush(
@@ -2013,20 +2243,21 @@ class Engine:
                 return self._bail("fault_forced")
         if core.pmi_due_at is not None:
             return self._bail("pmi_due")
-        if self.scheduler.queue_length(core.core_id) > 0:
+        if self.scheduler.runqueues[core.core_id]:
             return self._bail("runqueue")
         mux = thread.mux
         if mux is not None and len(mux.specs) > 1:
             return self._bail("mux")
-        if ex.phase_domain is not Domain.USER:  # pragma: no cover - defensive
+        ph = ex.ph
+        if not ph.user:  # pragma: no cover - defensive
             return self._bail("domain")
         now = core.now
         quantum = self.config.kernel.timeslice_cycles
         tick = self._costs.timer_tick
         stride = quantum + tick
         head = core.slice_ends_at - now
-        consumed = ex.phase_consumed
-        remaining = ex.phase_cycles - consumed
+        consumed = ex.consumed
+        remaining = ph.cycles - consumed
         # Largest k from the phase itself: the k-th quantum must still be
         # cut short by its tick, i.e. head + (k-1)*quantum < remaining
         # (at the boundary the slow path finishes the phase instead).
@@ -2048,46 +2279,48 @@ class Engine:
         # even one slice would wrap, the slow path delivers that PMI.
         pmu = core.pmu
         if pmu.n_enabled:
-            user_plan = pmu.accrual_plan(ex.phase_rates, Domain.USER)
+            user_plan = pmu.accrual_plan(ph.rates, Domain.USER)
             kernel_plan = pmu.accrual_plan(KERNEL_RATES, Domain.KERNEL)
         else:
             user_plan = kernel_plan = ()
         if user_plan or kernel_plan:
-            caps: dict[int, list] = {}
-            for index, ctr, ppm, _mask in user_plan:
-                caps[index] = [ctr, ppm, 0]
-            for index, ctr, ppm, _mask in kernel_plan:
+            # per counter: [user ppm, events per tick, headroom]
+            by_index: dict[int, list] = {}
+            for index, ctr, ppm, mask in user_plan:
+                by_index[index] = [ppm, 0, mask - ctr.value]
+            for index, ctr, ppm, mask in kernel_plan:
                 per_tick = events_in(0, tick, ppm)
-                entry = caps.get(index)
+                entry = by_index.get(index)
                 if entry is None:
-                    caps[index] = [ctr, 0, per_tick]
+                    by_index[index] = [0, per_tick, mask - ctr.value]
                 else:
-                    entry[2] = per_tick
-            base = {
-                index: (consumed * entry[1]) // 1_000_000
-                for index, entry in caps.items()
-            }
+                    entry[1] = per_tick
+            caps = [
+                (ppm_u, per_tick, (consumed * ppm_u) // 1_000_000, room)
+                for ppm_u, per_tick, room in by_index.values()
+            ]
 
             def fits(kk: int) -> bool:
                 u_end = consumed + head + (kk - 1) * quantum
-                for index, (ctr, ppm_u, per_tick) in caps.items():
-                    n = kk * per_tick
-                    if ppm_u:
-                        n += (u_end * ppm_u) // 1_000_000 - base[index]
-                    if ctr.value + n > ctr.mask:
+                for ppm_u, per_tick, base_n, room in caps:
+                    n = kk * per_tick + (u_end * ppm_u) // 1_000_000 - base_n
+                    if n > room:
                         return False
                 return True
 
-            if not fits(1):
-                return self._bail("overflow")
-            lo, hi = 1, k
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if fits(mid):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            k = lo
+            # Counter fill grows with k: keep k if it fits, else bail if
+            # even one slice wraps, else search the largest k that fits.
+            if not fits(k):
+                if not fits(1):
+                    return self._bail("overflow")
+                lo, hi = 1, k - 1
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if fits(mid):
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                k = lo
         # ---- commit: the jump is safe; apply k slices in closed form ----
         user_cycles = head + (k - 1) * quantum
         kernel_cycles = k * tick
@@ -2119,19 +2352,14 @@ class Engine:
             rev[0] += user_cycles
             thread.regions[name].kernel_cycles += kernel_cycles
         u_end = consumed + user_cycles
-        accrue_rate_events(ex.phase_flat, consumed, u_end, ev_user, rev)
-        for idx, per_tick in self._tick_pairs:
-            ev_kernel[idx] += k * per_tick
+        accrue_rate_events(ph.flat, consumed, u_end, ev_user, rev)
+        thread.pending[self._ph_tick] += k
         # PMU counters: no wrap is possible by construction, so plain adds
         for _index, ctr, ppm, _mask in user_plan:
-            n = (u_end * ppm) // 1_000_000 - (consumed * ppm) // 1_000_000
-            if n:
-                ctr.accrue(n)
+            ctr.value += (u_end * ppm) // 1_000_000 - (consumed * ppm) // 1_000_000
         for _index, ctr, ppm, _mask in kernel_plan:
-            n = k * events_in(0, tick, ppm)
-            if n:
-                ctr.accrue(n)
-        ex.phase_consumed = u_end
+            ctr.value += k * events_in(0, tick, ppm)
+        ex.consumed = u_end
         self.kernel_counters.n_timer_ticks += k
         core.slice_ends_at = t_end + quantum
         self._macro_steps += 1
@@ -2147,160 +2375,196 @@ class Engine:
         thread.cur = None
 
     # -- op begin ----------------------------------------------------------
-    # Op handling dispatches on type(op) through class-level tables built
-    # after the class body (subclasses resolve through the MRO on first
-    # sight and are memoized), replacing the seed's isinstance chains.
-
-    def _begin_op(self, core: Core, thread: SimThread, op: ops.Op) -> _OpExec:
-        fn = _BEGIN_DISPATCH.get(type(op))
-        if fn is None:
-            fn = _dispatch_resolve(
-                _BEGIN_DISPATCH, op,
-                f"thread {thread.name!r} yielded non-op {op!r}",
-            )
-        ex = _OpExec(op)
-        ex.adv = _ADVANCE_DISPATCH.get(type(op))
-        fn(self, core, thread, ex)
-        return ex
+    # Ops dispatch once, on type(op), through the _BEGIN table built after
+    # the class body (subclasses resolve through the MRO on first sight and
+    # are memoized). A begin handler sets the first phase and the advance
+    # handler run when it completes; each advance handler sets the next
+    # stage's phase and handler, so stage machines compare no stage names.
 
     def _begin_compute(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        """A compute window recurring in this run (the same rates and
+        length, seen before) runs as an interned phase; others as the
+        thread's transient phase. The table stops growing at _WINDOWS_CAP
+        distinct windows, so runs of random lengths stay bounded."""
         op = ex.op
-        ex.stage = "run"
-        ex.set_phase(op.cycles, op.rates, Domain.USER, True)
+        rates = op.rates
+        key = (rates.flat, op.cycles)
+        windows = self._windows
+        ph = windows.get(key, _UNSEEN)
+        if ph is None:
+            ph = windows[key] = _Phase(op.cycles, rates, Domain.USER, True)
+        elif ph is _UNSEEN:
+            if len(windows) < _WINDOWS_CAP:
+                windows[key] = None
+            ph = thread.compute_ph
+            ph.cycles = op.cycles
+            ph.rates = rates
+            ph.flat = rates.flat
+        ex.ph = ph
+        ex.consumed = 0
+        ex.adv = Engine._adv_done
 
     def _begin_rdtsc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "run"
-        ex.set_phase(self._costs.rdtsc, LIBRARY_RATES, Domain.USER, True)
+        ex.ph = self._ph_rdtsc
+        ex.consumed = 0
+        ex.adv = Engine._adv_rdtsc
 
     def _begin_rdpmc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "run"
-        ex.set_phase(self._costs.rdpmc, LIBRARY_RATES, Domain.USER, True)
+        ex.ph = self._ph_rdpmc
+        ex.consumed = 0
+        ex.adv = Engine._adv_rdpmc
 
-    def _begin_rdpmc_destructive(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "run"
-        ex.set_phase(
-            self._costs.rdpmc_destructive, LIBRARY_RATES, Domain.USER, True
-        )
+    def _begin_rdpmc_destructive(
+        self, core: Core, thread: SimThread, ex: _OpExec
+    ) -> None:
+        ex.ph = self._ph_rdpmc_destructive
+        ex.consumed = 0
+        ex.adv = Engine._adv_rdpmc_destructive
 
-    def _begin_pmc_read_begin(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "run"
-        ex.set_phase(self._costs.pmc_read_begin, LIBRARY_RATES, Domain.USER, True)
+    def _begin_pmc_read_begin(
+        self, core: Core, thread: SimThread, ex: _OpExec
+    ) -> None:
+        ex.ph = self._ph_read_begin
+        ex.consumed = 0
+        ex.adv = Engine._adv_pmc_read_begin
 
     def _begin_pmc_read_end(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "run"
-        ex.set_phase(self._costs.pmc_read_end, LIBRARY_RATES, Domain.USER, True)
+        ex.ph = self._ph_read_end
+        ex.consumed = 0
+        ex.adv = Engine._adv_pmc_read_end
 
     def _begin_load_vaccum(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "run"
-        ex.set_phase(self._costs.pmc_load_accum, LIBRARY_RATES, Domain.USER, True)
+        ex.ph = self._ph_load_accum
+        ex.consumed = 0
+        ex.adv = Engine._adv_load_vaccum
 
-    def _begin_pmc_safe_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        if self._try_fast_read(core, thread, ex, self._safe_read_phases):
+    def _begin_pmc_safe_read(
+        self, core: Core, thread: SimThread, ex: _OpExec
+    ) -> None:
+        if self._try_fast_read(core, thread, ex, self._safe_read):
             return
-        ex.stage = "call"
-        ex.set_phase(self._costs.pmc_call_overhead, LIBRARY_RATES, Domain.USER, True)
+        ex.ph = self._ph_call
+        ex.consumed = 0
+        ex.adv = Engine._safe_call
 
-    def _begin_pmc_unsafe_read(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        if self._try_fast_read(core, thread, ex, self._unsafe_read_phases):
+    def _begin_pmc_unsafe_read(
+        self, core: Core, thread: SimThread, ex: _OpExec
+    ) -> None:
+        if self._try_fast_read(core, thread, ex, self._unsafe_read):
             return
-        ex.stage = "call"
-        ex.set_phase(self._costs.pmc_call_overhead, LIBRARY_RATES, Domain.USER, True)
+        ex.ph = self._ph_call
+        ex.consumed = 0
+        ex.adv = Engine._unsafe_call
 
-    def _begin_region(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "run"
-        hook = self._costs.instrument_hook if thread.profiler is not None else 0
-        ex.set_phase(hook, LIBRARY_RATES, Domain.USER, True)
+    def _begin_region_begin(
+        self, core: Core, thread: SimThread, ex: _OpExec
+    ) -> None:
+        ex.ph = self._ph_hook if thread.profiler is not None else _ZERO_PHASE
+        ex.consumed = 0
+        ex.adv = Engine._adv_region_begin
 
-    def _begin_lock_acquire(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "cas"
-        ex.data = {
-            "t0": core.now,
-            "spin_used": 0,
-            "contended": False,
-            "slept": False,
-        }
-        ex.set_phase(self._costs.cas, LIBRARY_RATES, Domain.USER, True)
+    def _begin_region_end(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.ph = self._ph_hook if thread.profiler is not None else _ZERO_PHASE
+        ex.consumed = 0
+        ex.adv = Engine._adv_region_end
 
-    def _begin_lock_release(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "cas"
-        ex.set_phase(self._costs.cas, LIBRARY_RATES, Domain.USER, True)
+    def _begin_lock_acquire(
+        self, core: Core, thread: SimThread, ex: _OpExec
+    ) -> None:
+        ex.t0 = core.now
+        ex.ph = self._ph_cas
+        ex.consumed = 0
+        ex.adv = Engine._acq_first_cas
+
+    def _begin_lock_release(
+        self, core: Core, thread: SimThread, ex: _OpExec
+    ) -> None:
+        ex.ph = self._ph_cas
+        ex.consumed = 0
+        ex.adv = Engine._rel_cas
 
     def _begin_syscall_op(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op = ex.op
-        handler = self._syscalls.get(op.name)
+        name = ex.op.name
+        handler = self._syscalls.get(name)
         if handler is None:
-            raise SimulationError(f"unknown syscall {op.name!r}")
-        ex.stage = "entry"
-        ex.data = {"handler": handler}
+            raise SimulationError(f"unknown syscall {name!r}")
+        ex.handler = handler
         thread.n_syscalls += 1
         table = self.kernel_counters.n_syscalls
-        table[op.name] = table.get(op.name, 0) + 1
-        self._begin_syscall(core, thread, ex, op.name)
+        table[name] = table.get(name, 0) + 1
+        self._begin_syscall(core, thread, ex, name, Engine._sys_entered)
 
     def _begin_spawn(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "entry"
         thread.n_syscalls += 1
         table = self.kernel_counters.n_syscalls
         table["clone"] = table.get("clone", 0) + 1
-        self._begin_syscall(core, thread, ex, "clone")
+        self._begin_syscall(core, thread, ex, "clone", Engine._spawn_entered)
 
     def _begin_join(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "entry"
         thread.n_syscalls += 1
-        self._begin_syscall(core, thread, ex, "join")
+        self._begin_syscall(core, thread, ex, "join", Engine._join_entered)
 
     def _begin_sleep(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "entry"
         thread.n_syscalls += 1
-        self._begin_syscall(core, thread, ex, "sleep")
+        self._begin_syscall(core, thread, ex, "sleep", Engine._sleep_entered)
 
     def _begin_yield(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        ex.stage = "entry"
         thread.n_syscalls += 1
-        self._begin_syscall(core, thread, ex, "yield")
+        self._begin_syscall(core, thread, ex, "yield", Engine._yield_entered)
 
     def _begin_syscall(
-        self, core: Core, thread: SimThread, ex: _OpExec, name: str
+        self,
+        core: Core,
+        thread: SimThread,
+        ex: _OpExec,
+        name: str,
+        entered: Callable[..., None],
     ) -> None:
-        """Common entry path of every syscall-class op: trace + entry phase."""
-        data = ex.data
-        if data is None:
-            data = ex.data = {}
-        data["sys_name"] = name
+        """Common entry path of every syscall-class op: trace + entry phase;
+        ``entered`` runs once the entry phase completes."""
+        ex.sys_name = name
+        ex.result = None
+        ex.exc = None
         if self._tracing:
             self.obs.emit(
                 core.now, core.core_id, thread.tid, tr.SYSCALL_ENTER, name
             )
-        ex.set_phase(
-            self._costs.syscall_entry, KERNEL_RATES, Domain.KERNEL, False
-        )
+        ex.ph = self._ph_sys_entry
+        ex.consumed = 0
+        ex.adv = entered
 
-    def _end_syscall(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        """Trace the kernel->user return of a syscall-class op."""
+    def _exit_syscall(self, ex: _OpExec) -> None:
+        """Set up the kernel->user return phase of a syscall-class op."""
+        ex.ph = self._ph_sys_exit
+        ex.consumed = 0
+        ex.adv = Engine._sys_exited
+
+    def _sys_exited(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        """Return to user: deliver the syscall's result or its "errno"."""
         if self._tracing:
             self.obs.emit(
-                core.now,
-                core.core_id,
-                thread.tid,
-                tr.SYSCALL_EXIT,
-                ex.data.get("sys_name"),
+                core.now, core.core_id, thread.tid, tr.SYSCALL_EXIT, ex.sys_name
             )
+        if ex.exc is not None:
+            thread.throw_exc = ex.exc
+        else:
+            thread.send_value = ex.result
+        thread.cur = None
 
     # -- op advance ----------------------------------------------------------
 
-    def _advance(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        fn = ex.adv
-        if fn is None:  # pragma: no cover - _begin_op already rejects these
-            fn = ex.adv = _dispatch_resolve(
-                _ADVANCE_DISPATCH, ex.op, f"cannot advance op {ex.op!r}"
-            )
-        fn(self, core, thread, ex)
+    def _adv_done(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        thread.send_value = None
+        thread.cur = None
 
-    def _adv_compute(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        self._complete(thread, None)
+    def _adv_result(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        """The op is done and its value is ``ex.result``."""
+        thread.send_value = ex.result
+        thread.cur = None
 
     def _adv_rdtsc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        self._complete(thread, core.now)
+        thread.send_value = core.now
+        thread.cur = None
 
     def _adv_pmc_read_begin(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         thread.in_pmc_read = True
@@ -2334,19 +2598,24 @@ class Engine:
         else:
             self._complete(thread, value)
 
+    def _rdpmc_user(self, core: Core, thread: SimThread, index: int) -> int:
+        """A user-mode rdpmc of ``index``, recording the slot's ground truth
+        at that instant; raises CounterError like the instruction faults."""
+        value = core.pmu.rdpmc(index, from_user=True)
+        if 0 <= index < len(thread.vpmu.slots):
+            spec = thread.vpmu.slots[index]
+            if spec is not None:
+                thread.last_rdpmc_truth = thread.slot_truth_since_open(
+                    index, spec
+                )
+        return value
+
     def _adv_rdpmc(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op = ex.op
         try:
-            value = core.pmu.rdpmc(op.index, from_user=True)
+            value = self._rdpmc_user(core, thread, ex.op.index)
         except CounterError as exc:
             self._throw(thread, exc)
             return
-        if 0 <= op.index < len(thread.vpmu.slots):
-            spec = thread.vpmu.slots[op.index]
-            if spec is not None:
-                thread.last_rdpmc_truth = thread.slot_truth_since_open(
-                    op.index, spec
-                )
         self._complete(thread, value)
 
     # -- composite PMC reads ------------------------------------------------
@@ -2355,58 +2624,14 @@ class Engine:
     #
     # * fast path — when nothing can interrupt the window (no slice
     #   boundary, no due PMI, no counter wrap, not tracing), the entire
-    #   sequence commits in one piece with precomputed accrual sums;
+    #   sequence commits in one piece with memoized accrual sums;
     # * stage machine — otherwise, the op steps through phases with exactly
     #   the piece boundaries of the historical op-by-op form (Compute /
     #   PmcReadBegin / LoadVAccum / Rdpmc / PmcReadEnd / Compute), so
     #   interrupted reads restart, fault and undercount identically.
 
-    def _read_recipe(self, plan: tuple, phases: tuple) -> tuple:
-        """Combined accrual recipe for a whole PMC read executed as one
-        piece: per-part summed running-floor deltas (each sub-phase accrues
-        from its own cycle 0, so part sums are sums of ``events_in(0, c)``)
-        plus per-counter whole-read totals for the no-wrap precheck."""
-        flat = LIBRARY_RATES.flat
-
-        def combine(costs: tuple) -> tuple[tuple, dict[int, list]]:
-            ev: dict[int, int] = {}
-            ctr: dict[int, list] = {}
-            for cyc in costs:
-                for _event, ppm, idx in flat:
-                    n = (cyc * ppm) // 1_000_000
-                    if n:
-                        ev[idx] = ev.get(idx, 0) + n
-                for index, counter, ppm, _mask in plan:
-                    n = (cyc * ppm) // 1_000_000
-                    if n:
-                        entry = ctr.get(index)
-                        if entry is None:
-                            ctr[index] = [counter, _mask, n]
-                        else:
-                            entry[2] += n
-            return tuple(ev.items()), ctr
-
-        d_a, ctr_a = combine(phases[0])
-        d_b, ctr_b = combine(phases[1])
-        e_a = tuple((c, m, n) for c, m, n in ctr_a.values())
-        e_b = tuple((c, m, n) for c, m, n in ctr_b.values())
-        for index, entry in ctr_b.items():
-            got = ctr_a.get(index)
-            if got is None:
-                ctr_a[index] = entry
-            else:
-                got[2] += entry[2]
-        totals = tuple((c, m, n) for c, m, n in ctr_a.values())
-        rec = (
-            d_a, e_a, sum(phases[0]),
-            d_b, e_b, sum(phases[1]),
-            totals, plan,
-        )
-        self._read_recipes[(id(plan), phases)] = rec
-        return rec
-
     def _try_fast_read(
-        self, core: Core, thread: SimThread, ex: _OpExec, phases: tuple
+        self, core: Core, thread: SimThread, ex: _OpExec, seq: _PhaseSeq
     ) -> bool:
         """Commit a whole PMC read in one piece if provably uninterruptible.
 
@@ -2442,16 +2667,11 @@ class Engine:
         spec = slots[index]
         if spec is None or not spec.user_readable:
             return self._bail("read_bad_slot")
-        plan = (
-            pmu.accrual_plan(LIBRARY_RATES, Domain.USER)
-            if pmu.n_enabled
-            else ()
-        )
-        rec = self._read_recipes.get((id(plan), phases))
-        if rec is None:
-            rec = self._read_recipe(plan, phases)
-        d_a, e_a, cycles_a, d_b, e_b, cycles_b, totals, _plan = rec
-        total = cycles_a + cycles_b
+        try:
+            adds_a, adds_b, totals = pmu.memo[seq]
+        except KeyError:
+            adds_a, adds_b, totals = self._resolve_seq(pmu, seq)
+        total = seq.cycles
         bound = core.slice_ends_at
         if bound is not None and bound - core.now < total:
             return self._bail("read_slice")
@@ -2470,220 +2690,193 @@ class Engine:
         if region_stack:
             rev = thread.region_ev[region_stack[-1]]
             rev[0] += total
-        ev[0] += cycles_a
+        ev[0] += seq.cycles_a
         if rev is None:
-            for idx, n in d_a:
-                ev[idx] += n
+            thread.pending[seq.tally_a] += 1
         else:
-            for idx, n in d_a:
+            for idx, n in seq.tally_a.deltas:
                 ev[idx] += n
                 rev[idx] += n
-        for counter, _mask, n in e_a:
+        for counter, n in adds_a:
             counter.value += n
         acc = vpmu.vaccum[index]
         hw = counters[index].value
-        thread.last_rdpmc_truth = thread.slot_truth_since_open(index, spec)
-        ev[0] += cycles_b
+        thread.last_rdpmc_truth = (
+            thread.slot_truth(spec) - thread.slot_truth_base[index]
+        )
+        ev[0] += total - seq.cycles_a
         if rev is None:
-            for idx, n in d_b:
-                ev[idx] += n
+            thread.pending[seq.tally_b] += 1
         else:
-            for idx, n in d_b:
+            for idx, n in seq.tally_b.deltas:
                 ev[idx] += n
                 rev[idx] += n
-        for counter, _mask, n in e_b:
+        for counter, n in adds_b:
             counter.value += n
         core.now += total
         core.busy_cycles += total
         core.user_cycles += total
         thread.user_cycles += total
-        ex.data = {"value": acc + hw}
-        ex.stage = "done"
+        ex.result = acc + hw
+        ex.ph = _ZERO_PHASE
+        ex.adv = Engine._adv_result
         self._fast_reads += 1
         return True
 
-    def _adv_pmc_safe_read(
-        self, core: Core, thread: SimThread, ex: _OpExec
-    ) -> None:
-        # ``stage`` names the phase that just finished; each transition
-        # keeps the piece boundaries of the op-by-op protocol.
-        stage = ex.stage
-        costs = self._costs
-        if stage == "rd":
-            op = ex.op
-            try:
-                value = core.pmu.rdpmc(op.index, from_user=True)
-            except CounterError as exc:
-                self._throw(thread, exc)
-                return
-            if 0 <= op.index < len(thread.vpmu.slots):
-                spec = thread.vpmu.slots[op.index]
-                if spec is not None:
-                    thread.last_rdpmc_truth = thread.slot_truth_since_open(
-                        op.index, spec
-                    )
-            ex.data["hw"] = value
-            ex.stage = "re"
-            ex.set_phase(costs.pmc_read_end, LIBRARY_RATES, Domain.USER, True)
-        elif stage == "re":
-            faults = self._faults
-            if faults is not None and not ex.data.get("fpc"):
-                spec = faults.fire(
-                    fp.PREEMPT_IN_READ, core, thread,
-                    protocol="safe", point=fp.BEFORE_CHECK,
-                )
-                if spec is not None:
-                    # Preempt exactly between the two halves of the restart
-                    # check: the read-end cycles have been charged but the
-                    # interruption flag has not been evaluated yet. The
-                    # at-most-once guard ("fpc") keeps the re-entered
-                    # advance below from re-firing after the resume.
-                    ex.data["fpc"] = True
-                    faults.note_read_hazard(thread.tid, "safe")
-                    self._fault_event(
-                        core, thread, fp.PREEMPT_IN_READ, fp.BEFORE_CHECK
-                    )
-                    self._switch_out(
-                        core, thread, requeue=True, preempted=True, front=True
-                    )
-                    return
-            ok = (
-                not thread.pmc_read_interrupted
-                and not core.pmu.pending_overflow_indices()
-            )
-            if faults is not None:
-                faults.resolve_safe_check(thread.tid, ok)
-            thread.in_pmc_read = False
-            thread.pmc_read_interrupted = False
-            if not ok:
-                thread.read_restarts += 1
-            if self._tracing:
-                self.obs.emit(
-                    core.now, core.core_id, thread.tid, tr.PMC_READ_END, ok
-                )
-            if ok:
-                ex.stage = "st"
-                ex.set_phase(
-                    costs.pmc_store_result, LIBRARY_RATES, Domain.USER, True
-                )
-                return
-            restarts = ex.data["restarts"] + 1
-            ex.data["restarts"] = restarts
-            if restarts > ops.MAX_RESTARTS:
-                self._throw(
-                    thread,
-                    RuntimeError(
-                        f"LiMiT read of slot {ex.op.index} restarted "
-                        f">{ops.MAX_RESTARTS} times"
-                    ),
-                )
-                return
-            ex.stage = "rb"
-            ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, Domain.USER, True)
-        elif stage == "rb":
-            thread.in_pmc_read = True
-            thread.pmc_read_interrupted = False
-            if self._tracing:
-                self.obs.emit(
-                    core.now, core.core_id, thread.tid, tr.PMC_READ_BEGIN
-                )
-            ex.stage = "va"
-            ex.set_phase(costs.pmc_load_accum, LIBRARY_RATES, Domain.USER, True)
-        elif stage == "va":
-            try:
-                acc = thread.vpmu.read_accumulator(ex.op.index)
-            except CounterError as exc:
-                self._throw(thread, exc)
-                return
-            ex.data["acc"] = acc
-            ex.stage = "rd"
-            ex.set_phase(costs.rdpmc, LIBRARY_RATES, Domain.USER, True)
-            faults = self._faults
-            if faults is not None:
-                spec = faults.fire(
-                    fp.PREEMPT_IN_READ, core, thread,
-                    protocol="safe", point=fp.BETWEEN_LOADS,
-                )
-                if spec is not None:
-                    # The classic hazard: accumulator loaded, rdpmc not yet
-                    # executed. The forced switch folds the counter, so the
-                    # two loads span epochs; the restart check must fire.
-                    faults.note_read_hazard(thread.tid, "safe")
-                    self._fault_event(
-                        core, thread, fp.PREEMPT_IN_READ, fp.BETWEEN_LOADS
-                    )
-                    self._switch_out(
-                        core, thread, requeue=True, preempted=True, front=True
-                    )
-        elif stage == "call":
-            ex.data = {"restarts": 0}
-            ex.stage = "rb"
-            ex.set_phase(costs.pmc_read_begin, LIBRARY_RATES, Domain.USER, True)
-        elif stage == "st":
-            self._complete(thread, ex.data["acc"] + ex.data["hw"])
-        elif stage == "done":
-            self._complete(thread, ex.data["value"])
-        else:  # pragma: no cover - stage machine is closed
-            raise SimulationError(f"bad PmcSafeRead stage {stage!r}")
+    def _read_value(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        """The read's loads are done: store their sum (the final phase)."""
+        ex.ph = self._ph_store_result
+        ex.consumed = 0
+        ex.result = ex.acc + ex.hw
+        ex.adv = Engine._adv_result
 
-    def _adv_pmc_unsafe_read(
-        self, core: Core, thread: SimThread, ex: _OpExec
-    ) -> None:
-        stage = ex.stage
-        costs = self._costs
-        if stage == "rd":
-            op = ex.op
-            try:
-                value = core.pmu.rdpmc(op.index, from_user=True)
-            except CounterError as exc:
-                self._throw(thread, exc)
-                return
-            if 0 <= op.index < len(thread.vpmu.slots):
-                spec = thread.vpmu.slots[op.index]
-                if spec is not None:
-                    thread.last_rdpmc_truth = thread.slot_truth_since_open(
-                        op.index, spec
-                    )
-            ex.data["hw"] = value
-            ex.stage = "st"
-            ex.set_phase(
-                costs.pmc_store_result, LIBRARY_RATES, Domain.USER, True
+    def _safe_call(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.restarts = 0
+        ex.fpc = False
+        ex.ph = self._ph_read_begin
+        ex.consumed = 0
+        ex.adv = Engine._safe_rb
+
+    def _safe_rb(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        thread.in_pmc_read = True
+        thread.pmc_read_interrupted = False
+        if self._tracing:
+            self.obs.emit(
+                core.now, core.core_id, thread.tid, tr.PMC_READ_BEGIN
             )
-        elif stage == "call":
-            ex.stage = "va"
-            ex.set_phase(costs.pmc_load_accum, LIBRARY_RATES, Domain.USER, True)
-        elif stage == "va":
-            try:
-                acc = thread.vpmu.read_accumulator(ex.op.index)
-            except CounterError as exc:
-                self._throw(thread, exc)
-                return
-            ex.data = {"acc": acc}
-            ex.stage = "rd"
-            ex.set_phase(costs.rdpmc, LIBRARY_RATES, Domain.USER, True)
-            faults = self._faults
-            if faults is not None:
-                spec = faults.fire(
-                    fp.PREEMPT_IN_READ, core, thread,
-                    protocol="unsafe", point=fp.BETWEEN_LOADS,
+        ex.ph = self._ph_load_accum
+        ex.consumed = 0
+        ex.adv = Engine._safe_va
+
+    def _safe_va(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        try:
+            ex.acc = thread.vpmu.read_accumulator(ex.op.index)
+        except CounterError as exc:
+            self._throw(thread, exc)
+            return
+        ex.ph = self._ph_rdpmc
+        ex.consumed = 0
+        ex.adv = Engine._safe_rd
+        faults = self._faults
+        if faults is not None:
+            spec = faults.fire(
+                fp.PREEMPT_IN_READ, core, thread,
+                protocol="safe", point=fp.BETWEEN_LOADS,
+            )
+            if spec is not None:
+                # The classic hazard: accumulator loaded, rdpmc not yet
+                # executed. The forced switch folds the counter, so the
+                # two loads span epochs; the restart check must fire.
+                faults.note_read_hazard(thread.tid, "safe")
+                self._fault_event(
+                    core, thread, fp.PREEMPT_IN_READ, fp.BETWEEN_LOADS
                 )
-                if spec is not None:
-                    # No protection here: the switch folds the hardware value
-                    # into the accumulator *after* this read captured it, so
-                    # the sum silently undercounts — a miss by construction.
-                    faults.note_read_hazard(thread.tid, "unsafe")
-                    self._fault_event(
-                        core, thread, fp.PREEMPT_IN_READ, fp.BETWEEN_LOADS
-                    )
-                    self._switch_out(
-                        core, thread, requeue=True, preempted=True, front=True
-                    )
-        elif stage == "st":
-            self._complete(thread, ex.data["acc"] + ex.data["hw"])
-        elif stage == "done":
-            self._complete(thread, ex.data["value"])
-        else:  # pragma: no cover - stage machine is closed
-            raise SimulationError(f"bad PmcUnsafeRead stage {stage!r}")
+                self._switch_out(
+                    core, thread, requeue=True, preempted=True, front=True
+                )
+
+    def _safe_rd(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        try:
+            ex.hw = self._rdpmc_user(core, thread, ex.op.index)
+        except CounterError as exc:
+            self._throw(thread, exc)
+            return
+        ex.ph = self._ph_read_end
+        ex.consumed = 0
+        ex.adv = Engine._safe_re
+
+    def _safe_re(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        faults = self._faults
+        if faults is not None and not ex.fpc:
+            spec = faults.fire(
+                fp.PREEMPT_IN_READ, core, thread,
+                protocol="safe", point=fp.BEFORE_CHECK,
+            )
+            if spec is not None:
+                # Preempt exactly between the two halves of the restart
+                # check: the read-end cycles have been charged but the
+                # interruption flag has not been evaluated yet. The
+                # at-most-once guard (fpc) keeps this handler, re-entered
+                # after the resume, from re-firing.
+                ex.fpc = True
+                faults.note_read_hazard(thread.tid, "safe")
+                self._fault_event(
+                    core, thread, fp.PREEMPT_IN_READ, fp.BEFORE_CHECK
+                )
+                self._switch_out(
+                    core, thread, requeue=True, preempted=True, front=True
+                )
+                return
+        ok = (
+            not thread.pmc_read_interrupted
+            and not core.pmu.pending_overflow_indices()
+        )
+        if faults is not None:
+            faults.resolve_safe_check(thread.tid, ok)
+        thread.in_pmc_read = False
+        thread.pmc_read_interrupted = False
+        if not ok:
+            thread.read_restarts += 1
+        if self._tracing:
+            self.obs.emit(
+                core.now, core.core_id, thread.tid, tr.PMC_READ_END, ok
+            )
+        if ok:
+            self._read_value(core, thread, ex)
+            return
+        ex.restarts += 1
+        if ex.restarts > ops.MAX_RESTARTS:
+            self._throw(
+                thread,
+                RuntimeError(
+                    f"LiMiT read of slot {ex.op.index} restarted "
+                    f">{ops.MAX_RESTARTS} times"
+                ),
+            )
+            return
+        ex.ph = self._ph_read_begin
+        ex.consumed = 0
+        ex.adv = Engine._safe_rb
+
+    def _unsafe_call(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.ph = self._ph_load_accum
+        ex.consumed = 0
+        ex.adv = Engine._unsafe_va
+
+    def _unsafe_va(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        try:
+            ex.acc = thread.vpmu.read_accumulator(ex.op.index)
+        except CounterError as exc:
+            self._throw(thread, exc)
+            return
+        ex.ph = self._ph_rdpmc
+        ex.consumed = 0
+        ex.adv = Engine._unsafe_rd
+        faults = self._faults
+        if faults is not None:
+            spec = faults.fire(
+                fp.PREEMPT_IN_READ, core, thread,
+                protocol="unsafe", point=fp.BETWEEN_LOADS,
+            )
+            if spec is not None:
+                # No protection here: the switch folds the hardware value
+                # into the accumulator *after* this read captured it, so
+                # the sum silently undercounts — a miss by construction.
+                faults.note_read_hazard(thread.tid, "unsafe")
+                self._fault_event(
+                    core, thread, fp.PREEMPT_IN_READ, fp.BETWEEN_LOADS
+                )
+                self._switch_out(
+                    core, thread, requeue=True, preempted=True, front=True
+                )
+
+    def _unsafe_rd(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        try:
+            ex.hw = self._rdpmc_user(core, thread, ex.op.index)
+        except CounterError as exc:
+            self._throw(thread, exc)
+            return
+        self._read_value(core, thread, ex)
 
     def _adv_rdpmc_destructive(
         self, core: Core, thread: SimThread, ex: _OpExec
@@ -2753,43 +2946,11 @@ class Engine:
 
     # -- locks ---------------------------------------------------------------
 
-    def _spin_recipe(self, spin_plan: tuple, lib_plan: tuple) -> tuple:
-        """Accrual recipe for one contended-lock spin round: a spin phase
-        (``spin_quantum`` cycles of SPIN_RATES) followed by a CAS retry
-        (``cas`` cycles of LIBRARY_RATES), both user phases accruing from
-        their own cycle 0 — so a round's deltas are plain sums of
-        ``events_in(0, c)`` and k rounds accrue exactly k times them."""
-        costs = self._costs
-        ev: dict[int, int] = {}
-        ctr: dict[int, list] = {}
-        for cyc, flat, plan in (
-            (costs.spin_quantum, SPIN_RATES.flat, spin_plan),
-            (costs.cas, LIBRARY_RATES.flat, lib_plan),
-        ):
-            for _event, ppm, idx in flat:
-                n = (cyc * ppm) // 1_000_000
-                if n:
-                    ev[idx] = ev.get(idx, 0) + n
-            for index, counter, ppm, _mask in plan:
-                n = (cyc * ppm) // 1_000_000
-                if n:
-                    entry = ctr.get(index)
-                    if entry is None:
-                        ctr[index] = [counter, _mask, n]
-                    else:
-                        entry[2] += n
-        rec = (
-            tuple(ev.items()),
-            tuple((counter, m, n) for counter, m, n in ctr.values()),
-        )
-        self._spin_recipes[(id(spin_plan), id(lib_plan))] = rec
-        return rec
-
     def _try_spin_batch(self, core: Core, thread: SimThread, ex: _OpExec) -> bool:
         """Fast-forward k whole spin+CAS rounds of a contended lock acquire
         in one closed-form step.
 
-        Called from the ``cas`` stage after the CAS has failed with spin
+        Called from the CAS advance after the CAS has failed with spin
         budget remaining, i.e. the slow path is about to run round after
         round of 2-piece spin/CAS phases. The CAS outcome can only change
         when another actor releases the lock — impossible before
@@ -2810,12 +2971,12 @@ class Engine:
         ):
             self._fault_event(core, thread, fp.FORCE_BAILOUT, "spin")
             return self._bail("fault_forced")
-        costs = self._costs
-        spin_q = costs.spin_quantum
-        round_cycles = spin_q + costs.cas
+        seq = self._spin_round
+        spin_q = self._ph_spin.cycles
+        round_cycles = seq.cycles
         if round_cycles <= 0:  # pragma: no cover - degenerate cost model
             return self._bail("spin_degenerate")
-        spin_used = ex.data["spin_used"]
+        spin_used = ex.spin_used
         budget = self.config.locks.spin_limit_cycles - spin_used
         k = -(-budget // spin_q)  # rounds until the budget is exhausted
         if core.pmi_due_at is not None:
@@ -2835,17 +2996,11 @@ class Engine:
                 k = k_h
             if k < 1:
                 return self._bail("spin_horizon")
-        pmu = core.pmu
-        if pmu.n_enabled:
-            spin_plan = pmu.accrual_plan(SPIN_RATES, Domain.USER)
-            lib_plan = pmu.accrual_plan(LIBRARY_RATES, Domain.USER)
-        else:
-            spin_plan = lib_plan = ()
-        rec = self._spin_recipes.get((id(spin_plan), id(lib_plan)))
-        if rec is None:
-            rec = self._spin_recipe(spin_plan, lib_plan)
-        deltas, entries = rec
-        for counter, mask, n in entries:
+        try:
+            adds, _adds_b, totals = core.pmu.memo[seq]
+        except KeyError:
+            adds, _adds_b, totals = self._resolve_seq(core.pmu, seq)
+        for counter, mask, n in totals:
             k_w = (mask - counter.value) // n
             if k_w < k:
                 k = k_w
@@ -2854,22 +3009,19 @@ class Engine:
         # ---- commit: k failed rounds, then re-decide with the same checks
         # the slow path's k-th CAS advance would have made at this state ----
         window = k * round_cycles
-        ex.data["spin_used"] = spin_used + k * spin_q
+        ex.spin_used = spin_used + k * spin_q
         ev = thread.ev_user
         ev[0] += window  # Event.CYCLES.index == 0
-        rev = None
         if thread.region_stack:
             rev = thread.region_ev[thread.region_stack[-1]]
             rev[0] += window
-        if rev is None:
-            for idx, n in deltas:
-                ev[idx] += k * n
-        else:
-            for idx, n in deltas:
+            for idx, n in seq.tally_a.deltas:
                 kn = k * n
                 ev[idx] += kn
                 rev[idx] += kn
-        for counter, _mask, n in entries:
+        else:
+            thread.pending[seq.tally_a] += k
+        for counter, n in adds:
             counter.value += k * n  # no wrap by construction
         core.now += window
         core.busy_cycles += window
@@ -2877,289 +3029,244 @@ class Engine:
         thread.user_cycles += window
         self._spin_batches += 1
         self._spin_rounds_batched += k
-        if ex.data["spin_used"] < self.config.locks.spin_limit_cycles:
-            ex.stage = "spin"
-            ex.data["spin_used"] += spin_q
-            ex.set_phase(spin_q, SPIN_RATES, Domain.USER, True)
+        if ex.spin_used < self.config.locks.spin_limit_cycles:
+            self._acq_spin_round(ex)
         else:
-            ex.stage = "fbody"
-            self.kernel_counters.n_futex_waits += 1
-            ex.set_phase(
-                costs.syscall_entry + costs.futex_wait_kernel,
-                KERNEL_RATES,
-                Domain.KERNEL,
-                False,
-            )
+            self._acq_futex_wait(ex)
         return True
 
-    def _adv_lock_acquire(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op: ops.LockAcquire = ex.op
-        costs = self._costs
-        lock = self.locks.get(op.lock)
-        stage = ex.stage
-        if stage == "cas":
-            if not lock.held:
-                waited = core.now - ex.data["t0"]
-                lock.take(
-                    thread.tid,
-                    core.now,
-                    waited=waited,
-                    contended=ex.data["contended"],
-                    slept=ex.data["slept"],
-                )
-                thread.owned_locks.add(op.lock)
-                if self._tracing:
-                    self.obs.emit(
-                        core.now, core.core_id, thread.tid, tr.LOCK_ACQ, op.lock
-                    )
-                self._complete(thread, None)
-                return
-            ex.data["contended"] = True
-            if ex.data["spin_used"] < self.config.locks.spin_limit_cycles:
-                if self._macro and self._try_spin_batch(core, thread, ex):
-                    return
-                ex.stage = "spin"
-                ex.data["spin_used"] += costs.spin_quantum
-                ex.set_phase(costs.spin_quantum, SPIN_RATES, Domain.USER, True)
-                return
-            ex.stage = "fbody"
-            self.kernel_counters.n_futex_waits += 1
-            ex.set_phase(
-                costs.syscall_entry + costs.futex_wait_kernel,
-                KERNEL_RATES,
-                Domain.KERNEL,
-                False,
-            )
-            return
-        if stage == "spin":
-            ex.stage = "cas"
-            ex.set_phase(costs.cas, LIBRARY_RATES, Domain.USER, True)
-            return
-        if stage == "fbody":
-            ex.stage = "fexit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
-            if lock.held:
-                # genuinely sleep; retry CAS when woken
-                self.futex.wait(op.lock, thread.tid)
-                lock.n_sleepers += 1
-                ex.data["slept"] = True
-                self._block(core, thread, ("futex", op.lock))
-            # else: lost the race with a release; fall through to fexit
-            return
-        if stage == "fexit":
-            ex.stage = "cas"
-            ex.data["spin_used"] = 0
-            ex.set_phase(costs.cas, LIBRARY_RATES, Domain.USER, True)
-            return
-        raise SimulationError(f"bad LockAcquire stage {stage!r}")
+    def _acq_spin_round(self, ex: _OpExec) -> None:
+        """Contended CAS with spin budget left: spin one quantum."""
+        ex.spin_used += self._ph_spin.cycles
+        ex.ph = self._ph_spin
+        ex.consumed = 0
+        ex.adv = Engine._acq_spun
 
-    def _adv_lock_release(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op: ops.LockRelease = ex.op
-        costs = self._costs
-        stage = ex.stage
-        if stage == "cas":
-            lock = self.locks.get(op.lock)
-            lock.release(thread.tid, core.now)
-            thread.owned_locks.discard(op.lock)
-            if self._tracing:
-                self.obs.emit(
-                    core.now, core.core_id, thread.tid, tr.LOCK_REL, op.lock
-                )
-            if lock.n_sleepers > 0:
-                ex.stage = "wbody"
-                self.kernel_counters.n_futex_wakes += 1
-                ex.set_phase(
-                    costs.syscall_entry + costs.futex_wake_kernel,
-                    KERNEL_RATES,
-                    Domain.KERNEL,
-                    False,
-                )
+    def _acq_futex_wait(self, ex: _OpExec) -> None:
+        """Spin budget exhausted: enter the futex-wait syscall body."""
+        self.kernel_counters.n_futex_waits += 1
+        ex.ph = self._ph_futex_wait
+        ex.consumed = 0
+        ex.adv = Engine._acq_futex_body
+
+    def _acq_first_cas(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        """The acquire's first CAS completed: resolve the lock (once per
+        op) and take it if free; otherwise start the contended path."""
+        lock = ex.lock = self.locks.get(ex.op.lock)
+        if lock.owner is None:
+            self._acq_take(core, thread, ex, lock, False)
+            return
+        ex.spin_used = 0
+        ex.slept = False
+        self._acq_contended(core, thread, ex)
+
+    def _acq_cas(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        """A retried CAS completed: take the lock if free, else keep
+        spinning, or sleep once the spin budget is spent."""
+        lock = ex.lock
+        if lock.owner is None:
+            self._acq_take(core, thread, ex, lock, True)
+            return
+        self._acq_contended(core, thread, ex)
+
+    def _acq_take(
+        self, core: Core, thread: SimThread, ex: _OpExec, lock: Any,
+        contended: bool,
+    ) -> None:
+        # (waited, contended, slept); slept implies contended
+        lock.take(
+            thread.tid, core.now, core.now - ex.t0, contended,
+            contended and ex.slept,
+        )
+        thread.owned_locks.add(lock.name)
+        if self._tracing:
+            self.obs.emit(
+                core.now, core.core_id, thread.tid, tr.LOCK_ACQ, lock.name
+            )
+        thread.send_value = None
+        thread.cur = None
+
+    def _acq_contended(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        if ex.spin_used < self.config.locks.spin_limit_cycles:
+            if self._macro and self._try_spin_batch(core, thread, ex):
                 return
-            self._complete(thread, None)
+            self._acq_spin_round(ex)
             return
-        if stage == "wbody":
-            lock = self.locks.get(op.lock)
-            woken = self.futex.wake(op.lock, 1)
-            lock.n_sleepers -= len(woken)
-            for tid in woken:
-                self._make_ready(self.threads[tid], at=core.now)
-            ex.stage = "wexit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
+        self._acq_futex_wait(ex)
+
+    def _acq_spun(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.ph = self._ph_cas
+        ex.consumed = 0
+        ex.adv = Engine._acq_cas
+
+    def _acq_futex_body(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.ph = self._ph_sys_exit
+        ex.consumed = 0
+        ex.adv = Engine._acq_futex_exit
+        lock = ex.lock
+        if lock.owner is not None:
+            # genuinely sleep; retry CAS when woken
+            self.futex.wait(lock.name, thread.tid)
+            lock.n_sleepers += 1
+            ex.slept = True
+            self._block(core, thread, ("futex", lock.name))
+        # else: lost the race with a release; fall through to the exit
+
+    def _acq_futex_exit(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.spin_used = 0
+        ex.ph = self._ph_cas
+        ex.consumed = 0
+        ex.adv = Engine._acq_cas
+
+    def _rel_cas(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        lock = ex.lock = self.locks.get(ex.op.lock)
+        lock.release(thread.tid, core.now)
+        thread.owned_locks.discard(lock.name)
+        if self._tracing:
+            self.obs.emit(
+                core.now, core.core_id, thread.tid, tr.LOCK_REL, lock.name
+            )
+        if lock.n_sleepers > 0:
+            self.kernel_counters.n_futex_wakes += 1
+            ex.ph = self._ph_futex_wake
+            ex.consumed = 0
+            ex.adv = Engine._rel_futex_body
             return
-        if stage == "wexit":
-            self._complete(thread, None)
-            return
-        raise SimulationError(f"bad LockRelease stage {stage!r}")
+        thread.send_value = None
+        thread.cur = None
+
+    def _rel_futex_body(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        lock = ex.lock
+        woken = self.futex.wake(lock.name, 1)
+        lock.n_sleepers -= len(woken)
+        for tid in woken:
+            self._make_ready(self.threads[tid], at=core.now)
+        ex.ph = self._ph_sys_exit
+        ex.consumed = 0
+        ex.adv = Engine._adv_done
 
     # -- syscalls ----------------------------------------------------------
 
-    def _adv_syscall(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op: ops.Syscall = ex.op
-        costs = self._costs
-        if ex.stage == "entry":
-            handler = ex.data["handler"]
+    def _sys_entered(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        try:
+            body, action = ex.handler(core, thread, ex.op.args)
+        except Exception as exc:  # deliver as the syscall's "errno"
+            ex.exc = exc
+            self._exit_syscall(ex)
+            return
+        ex.action = action
+        ex.ph = body
+        ex.consumed = 0
+        ex.adv = Engine._sys_body_done
+
+    def _sys_body_done(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        action = ex.action
+        block: tuple | None = None
+        if action is not None:
             try:
-                body_cycles, action = handler(core, thread, op.args)
-            except Exception as exc:  # deliver as the syscall's "errno"
-                ex.data["action"] = None
-                ex.data["exc"] = exc
-                ex.stage = "exit"
-                ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
-                return
-            ex.data["action"] = action
-            ex.stage = "body"
-            ex.set_phase(body_cycles, KERNEL_RATES, Domain.KERNEL, False)
-            return
-        if ex.stage == "body":
-            action = ex.data.get("action")
-            result: Any = None
-            block: tuple | None = None
-            if action is not None:
-                try:
-                    result, block = action(core, thread)
-                except Exception as exc:
-                    ex.data["exc"] = exc
-                    block = None
-            ex.data["result"] = result
-            ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
-            if block is not None:
-                kind, arg = block
-                if kind == "sleep":
-                    self._seq += 1
-                    heapq.heappush(
-                        self._sleep_heap, (core.now + arg, self._seq, thread.tid)
-                    )
-                    self._chain_break = True
-                    self._block(core, thread, ("sleep", arg))
-                elif kind == "join":
-                    self._join_waiters.setdefault(arg, []).append(thread.tid)
-                    self._block(core, thread, ("join", arg))
-                elif kind == "key":
-                    self.futex.wait("key:" + arg, thread.tid)
-                    self._block(core, thread, ("key", arg))
-                else:  # pragma: no cover
-                    raise SimulationError(f"bad block kind {kind!r}")
-            return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
-            exc = ex.data.get("exc")
-            if exc is not None:
-                self._throw(thread, exc)
-            else:
-                self._complete(thread, ex.data.get("result"))
-            return
-        raise SimulationError(f"bad Syscall stage {ex.stage!r}")
+                ex.result, block = action(core, thread)
+            except Exception as exc:
+                ex.exc = exc
+                block = None
+        self._exit_syscall(ex)
+        if block is not None:
+            kind, arg = block
+            if kind == "sleep":
+                self._seq += 1
+                heapq.heappush(
+                    self._sleep_heap, (core.now + arg, self._seq, thread.tid)
+                )
+                self._chain_break = True
+                self._block(core, thread, ("sleep", arg))
+            elif kind == "join":
+                self._join_waiters.setdefault(arg, []).append(thread.tid)
+                self._block(core, thread, ("join", arg))
+            elif kind == "key":
+                self.futex.wait("key:" + arg, thread.tid)
+                self._block(core, thread, ("key", arg))
+            else:  # pragma: no cover
+                raise SimulationError(f"bad block kind {kind!r}")
 
-    def _adv_spawn(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+    def _spawn_entered(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.ph = self._ph_spawn
+        ex.consumed = 0
+        ex.adv = Engine._spawn_body_done
+
+    def _spawn_body_done(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         op: ops.SpawnThread = ex.op
-        costs = self._costs
-        if ex.stage == "entry":
-            ex.stage = "body"
-            ex.set_phase(2600, KERNEL_RATES, Domain.KERNEL, False)
-            return
-        if ex.stage == "body":
-            child = self._create_thread(op.factory, op.name, at=core.now)
-            self._make_ready(child, at=core.now)
-            ex.data["result"] = child.tid
-            ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
-            return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
-            self._complete(thread, ex.data["result"])
-            return
-        raise SimulationError(f"bad SpawnThread stage {ex.stage!r}")
+        child = self._create_thread(op.factory, op.name, at=core.now)
+        self._make_ready(child, at=core.now)
+        ex.result = child.tid
+        self._exit_syscall(ex)
 
-    def _adv_join(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+    def _join_entered(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.ph = self._ph_join
+        ex.consumed = 0
+        ex.adv = Engine._join_body_done
+
+    def _join_body_done(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
         op: ops.JoinThread = ex.op
-        costs = self._costs
-        if ex.stage == "entry":
-            ex.stage = "body"
-            ex.set_phase(600, KERNEL_RATES, Domain.KERNEL, False)
-            return
-        if ex.stage == "body":
-            target = self.threads.get(op.tid)
-            if target is None:
-                ex.data["exc"] = SimulationError(f"join: no thread {op.tid}")
-            ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
-            if target is not None and target.state is not ThreadState.FINISHED:
-                self._join_waiters.setdefault(op.tid, []).append(thread.tid)
-                self._block(core, thread, ("join", op.tid))
-            return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
-            exc = ex.data.get("exc")
-            if exc is not None:
-                self._throw(thread, exc)
-            else:
-                self._complete(thread, None)
-            return
-        raise SimulationError(f"bad JoinThread stage {ex.stage!r}")
+        target = self.threads.get(op.tid)
+        if target is None:
+            ex.exc = SimulationError(f"join: no thread {op.tid}")
+        self._exit_syscall(ex)
+        if target is not None and target.state is not ThreadState.FINISHED:
+            self._join_waiters.setdefault(op.tid, []).append(thread.tid)
+            self._block(core, thread, ("join", op.tid))
 
-    def _adv_sleep(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        op: ops.Sleep = ex.op
-        costs = self._costs
-        if ex.stage == "entry":
-            ex.stage = "body"
-            ex.set_phase(900, KERNEL_RATES, Domain.KERNEL, False)
-            return
-        if ex.stage == "body":
-            ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
-            self._seq += 1
-            heapq.heappush(
-                self._sleep_heap, (core.now + op.cycles, self._seq, thread.tid)
-            )
-            self._chain_break = True
-            self._block(core, thread, ("sleep", op.cycles))
-            return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
-            self._complete(thread, None)
-            return
-        raise SimulationError(f"bad Sleep stage {ex.stage!r}")
+    def _sleep_entered(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.ph = self._ph_sleep
+        ex.consumed = 0
+        ex.adv = Engine._sleep_body_done
 
-    def _adv_yield(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
-        costs = self._costs
-        if ex.stage == "entry":
-            ex.stage = "body"
-            ex.set_phase(400, KERNEL_RATES, Domain.KERNEL, False)
-            return
-        if ex.stage == "body":
-            ex.stage = "exit"
-            ex.set_phase(costs.syscall_exit, KERNEL_RATES, Domain.KERNEL, False)
-            return
-        if ex.stage == "exit":
-            self._end_syscall(core, thread, ex)
-            self._complete(thread, None)
-            if self.scheduler.queue_length(core.core_id) > 0:
-                self._switch_out(core, thread, requeue=True)
-            return
-        raise SimulationError(f"bad YieldCpu stage {ex.stage!r}")
+    def _sleep_body_done(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        cycles = ex.op.cycles
+        self._exit_syscall(ex)
+        self._seq += 1
+        heapq.heappush(
+            self._sleep_heap, (core.now + cycles, self._seq, thread.tid)
+        )
+        self._chain_break = True
+        self._block(core, thread, ("sleep", cycles))
 
-    # -- syscall handlers: (core, thread, args) -> (body_cycles, action) ------
+    def _yield_entered(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.ph = self._ph_yield
+        ex.consumed = 0
+        ex.adv = Engine._yield_body_done
+
+    def _yield_body_done(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        ex.ph = self._ph_sys_exit
+        ex.consumed = 0
+        ex.adv = Engine._yield_exited
+
+    def _yield_exited(self, core: Core, thread: SimThread, ex: _OpExec) -> None:
+        self._sys_exited(core, thread, ex)
+        if self.scheduler.runqueues[core.core_id]:
+            self._switch_out(core, thread, requeue=True)
+
+    # -- syscall handlers: (core, thread, args) -> (body phase, action) -------
 
     def _sys_work(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         (cycles,) = args
         if cycles < 0:
             raise ConfigError("work syscall needs non-negative cycles")
-        return cycles, None
+        # a variable body: the thread's transient phase, never interned
+        thread.work_ph.cycles = cycles
+        return thread.work_ph, None
 
     def _sys_getpid(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
             return thread.tid, None
 
-        return 150, action
+        return self._kphase(150), action
 
     def _sys_pmc_open(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         (spec,) = args
         if not isinstance(spec, SlotSpec):
             raise ConfigError("pmc_open takes a SlotSpec")
@@ -3177,11 +3284,11 @@ class Engine:
             thread.slot_reset_truth[idx] = base
             return idx, None
 
-        return cost, action
+        return self._kphase(cost), action
 
     def _sys_pmc_close(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         (idx,) = args
 
         def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
@@ -3191,11 +3298,11 @@ class Engine:
             thread.slot_saved[idx] = None
             return None, None
 
-        return 400, action
+        return self._kphase(400), action
 
     def _sys_perf_open(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         event, mode, period, count_user, count_kernel = args
         spec = SlotSpec(
             event=event,
@@ -3226,11 +3333,11 @@ class Engine:
             fd = self.perf.open(thread.tid, idx, event, mode, period)
             return fd.fd, None
 
-        return 3500, action
+        return self._kphase(3500), action
 
     def _sys_perf_read(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         (fd_no,) = args
         cost = self._costs.perf_read_kernel_work + self._costs.perf_copyout
 
@@ -3245,11 +3352,11 @@ class Engine:
             )
             return value, None
 
-        return cost, action
+        return self._kphase(cost), action
 
     def _sys_perf_close(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         (fd_no,) = args
 
         def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
@@ -3259,11 +3366,11 @@ class Engine:
             thread.slot_saved[fd.slot] = None
             return fd, None
 
-        return 1500, action
+        return self._kphase(1500), action
 
     def _sys_papi_read(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         (indices,) = args
         indices = tuple(indices)
         cost = (
@@ -3283,11 +3390,11 @@ class Engine:
                 values.append(value)
             return values, None
 
-        return cost, action
+        return self._kphase(cost), action
 
     def _sys_wait_key(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         """Keyed-event wait: consume a pending credit if one exists,
         otherwise block until a wake_key posts one. The credit semantics
         (a wake with no waiter is remembered) make the primitive race-free
@@ -3303,11 +3410,11 @@ class Engine:
                 return True, None  # consumed a credit; no blocking
             return False, ("key", key)
 
-        return 900, action
+        return self._kphase(900), action
 
     def _sys_wake_key(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         """Keyed-event wake: release up to ``n`` waiters; excess wakes are
         stored as credits. ``n = -1`` wakes every current waiter and clears
         any stored credits (broadcast)."""
@@ -3333,7 +3440,7 @@ class Engine:
                 self._make_ready(self.threads[tid], at=core.now)
             return len(woken), None
 
-        return 1_100, action
+        return self._kphase(1_100), action
 
     # -- perf-style event multiplexing ----------------------------------
 
@@ -3368,7 +3475,7 @@ class Engine:
 
     def _sys_mux_open(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         events, count_user, count_kernel = args
         events = tuple(events)
         if not events:
@@ -3403,11 +3510,11 @@ class Engine:
             thread.slot_truth_base[idx] = thread.slot_truth(specs[0])
             return idx, None
 
-        return cost, action
+        return self._kphase(cost), action
 
     def _sys_mux_read(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         cost = self._costs.perf_read_kernel_work + self._costs.perf_copyout
 
         def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
@@ -3427,11 +3534,11 @@ class Engine:
             ]
             return triples, None
 
-        return cost, action
+        return self._kphase(cost), action
 
     def _sys_mux_close(
         self, core: Core, thread: SimThread, args: tuple
-    ) -> tuple[int, _SysAction | None]:
+    ) -> tuple[_Phase, _SysAction | None]:
         def action(core: Core, thread: SimThread) -> tuple[Any, Any]:
             state = thread.mux
             if state is None:
@@ -3442,7 +3549,7 @@ class Engine:
             thread.mux = None
             return state.rotations, None
 
-        return 1500, action
+        return self._kphase(1500), action
 
     # ------------------------------------------------------------------
     # result collection
@@ -3451,6 +3558,7 @@ class Engine:
     def _collect(self) -> RunResult:
         threads = {}
         for tid, t in self.threads.items():
+            t.fold()
             for name, arr in t.region_ev.items():
                 events = t.regions[name].events
                 for event in _EVENT_MEMBERS:
@@ -3510,7 +3618,8 @@ def _dispatch_resolve(
     raise SimulationError(message)
 
 
-_BEGIN_DISPATCH = {
+#: op type -> begin handler: the one dispatch per op (see Engine._step)
+_BEGIN = {
     ops.Compute: Engine._begin_compute,
     ops.Rdtsc: Engine._begin_rdtsc,
     ops.Rdpmc: Engine._begin_rdpmc,
@@ -3520,8 +3629,8 @@ _BEGIN_DISPATCH = {
     ops.LoadVAccum: Engine._begin_load_vaccum,
     ops.PmcSafeRead: Engine._begin_pmc_safe_read,
     ops.PmcUnsafeRead: Engine._begin_pmc_unsafe_read,
-    ops.RegionBegin: Engine._begin_region,
-    ops.RegionEnd: Engine._begin_region,
+    ops.RegionBegin: Engine._begin_region_begin,
+    ops.RegionEnd: Engine._begin_region_end,
     ops.LockAcquire: Engine._begin_lock_acquire,
     ops.LockRelease: Engine._begin_lock_release,
     ops.Syscall: Engine._begin_syscall_op,
@@ -3529,27 +3638,6 @@ _BEGIN_DISPATCH = {
     ops.JoinThread: Engine._begin_join,
     ops.Sleep: Engine._begin_sleep,
     ops.YieldCpu: Engine._begin_yield,
-}
-
-_ADVANCE_DISPATCH = {
-    ops.Compute: Engine._adv_compute,
-    ops.Rdtsc: Engine._adv_rdtsc,
-    ops.Rdpmc: Engine._adv_rdpmc,
-    ops.RdpmcDestructive: Engine._adv_rdpmc_destructive,
-    ops.PmcReadBegin: Engine._adv_pmc_read_begin,
-    ops.PmcReadEnd: Engine._adv_pmc_read_end,
-    ops.LoadVAccum: Engine._adv_load_vaccum,
-    ops.PmcSafeRead: Engine._adv_pmc_safe_read,
-    ops.PmcUnsafeRead: Engine._adv_pmc_unsafe_read,
-    ops.RegionBegin: Engine._adv_region_begin,
-    ops.RegionEnd: Engine._adv_region_end,
-    ops.LockAcquire: Engine._adv_lock_acquire,
-    ops.LockRelease: Engine._adv_lock_release,
-    ops.Syscall: Engine._adv_syscall,
-    ops.SpawnThread: Engine._adv_spawn,
-    ops.JoinThread: Engine._adv_join,
-    ops.Sleep: Engine._adv_sleep,
-    ops.YieldCpu: Engine._adv_yield,
 }
 
 

@@ -231,10 +231,41 @@ class TestE19OpenLoop:
 
 class TestE20Resilience:
     @pytest.fixture(scope="class")
-    def e20(self):
-        from repro.experiments import e20_resilience
+    def e20_run(self):
+        """The quick run plus its per-run fingerprints, so the golden
+        comparison below reuses this (the suite's costliest) simulation."""
+        import os
 
-        return e20_resilience.run(quick=True)
+        from repro.experiments import e20_resilience
+        from repro.obs import runtime as obs_runtime
+
+        saved = os.environ.get("REPRO_FP_RECORDS")
+        os.environ["REPRO_FP_RECORDS"] = "1"
+        try:
+            with obs_runtime.collect(label="E20") as collector:
+                result = e20_resilience.run(quick=True)
+        finally:
+            if saved is None:
+                os.environ.pop("REPRO_FP_RECORDS", None)
+            else:
+                os.environ["REPRO_FP_RECORDS"] = saved
+        return result, sorted(r.fingerprint for r in collector.records)
+
+    @pytest.fixture(scope="class")
+    def e20(self, e20_run):
+        return e20_run[0]
+
+    def test_matches_golden(self, e20_run):
+        from repro.experiments import golden
+
+        result, fingerprints = e20_run
+        fresh = golden.normalise({
+            "E20": {
+                "fingerprints": fingerprints,
+                "result_metrics": dict(result.metrics),
+            }
+        })
+        assert golden.compare(golden.load(), fresh) == []
 
     def test_protection_bounds_the_collapse(self, e20):
         # The same ramp: unprotected p99 collapses, shed/full stay bounded.

@@ -83,6 +83,31 @@ class TestWindowedStats:
         assert batched.late_observations == loop.late_observations
         assert batched.reconcile()
 
+    def test_observe_batch_runs_match_per_sample_calls(self):
+        # Long runs of samples in one window (retained, late after an
+        # eviction, and below the retention range), negative values and
+        # negative times, as one batch.
+        rng = random.Random(5)
+        samples = []
+        for window in (0, 1, 2, 3, 4, 5, 6, 1, 1, 9, 0, 2, 9):
+            base = window * SPEC.window_cycles
+            samples += [
+                (rng.randrange(-50, 1 << 18), base + rng.randrange(0, 1_000))
+                for _ in range(rng.randrange(1, 40))
+            ]
+        samples += [(7, -30), (-3, -1)]
+        for counter in ("reqs", None):
+            loop = WindowedStats(SPEC)
+            for value, at in samples:
+                loop.observe("lat", value, at)
+                if counter is not None:
+                    loop.count(counter, 1, at=at)
+            batched = WindowedStats(SPEC)
+            batched.observe_batch("lat", samples, counter=counter)
+            assert batched == loop
+            assert batched.late_observations == loop.late_observations > 0
+            assert batched.reconcile()
+
     def test_observe_batch_without_counter(self):
         stats = WindowedStats(SPEC)
         stats.observe_batch("lat", [(10, 0), (20, 1_500)])
