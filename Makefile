@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments experiments-quick trace-smoke traffic-smoke fault-smoke compiled-smoke resilience-smoke analysis-smoke golden-check bench-ab examples lint lint-smoke clean
+.PHONY: install test bench experiments experiments-quick trace-smoke traffic-smoke fault-smoke golden-check bench-ab examples lint lint-smoke clean
 
 install:
 	pip install -e .
@@ -45,35 +45,11 @@ fault-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/fabric/test_failures.py \
 		tests/faults tests/properties/test_fault_injection.py
 
-# compiled-tier equivalence check: the quick suite four times (tier on
-# under the strict lint gate, tier off, numpy prefix builder off, and
-# --jobs 4) with per-run fingerprints; every leg must be bit-identical
-# and the tier must actually engage (compiled hit rate >= macro hit rate)
-compiled-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.compiled_smoke \
-		--dir results/smoke/compiled
-
-# resilience end-to-end check: the E20 policy matrix twice (serial under
-# the strict lint gate, and --jobs 2) with per-run fingerprints; the legs
-# must be bit-identical with equal alerts blocks, burn-rate alerts must
-# page only on the unprotected arm's overload windows, and shedding must
-# hold p99 below the unprotected collapse
-resilience-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.resilience_smoke \
-		--dir results/smoke/resilience
-
-# declarative-analysis end-to-end check: AN rules over the shipped
-# declarations, then quick E21 three ways (strict gate, --jobs 2,
-# --no-analysis) plus the classified quick suite; legs must be
-# fingerprint-identical with bit-identical verdicts and >= 1 genuine
-# refutation with a concrete counterexample
-analysis-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.lint analysis --strict
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.analysis_smoke \
-		--dir results/smoke/analysis
-
-# behaviour lock: the whole quick suite against results/golden.quick.json
-# (per-run fingerprint multisets + result metrics per experiment)
+# behaviour lock and equivalence harness: the quick suite once per leg
+# (strict lint gate, --jobs 2, --no-compiled-tier, numpy prefix builder
+# off), every leg against results/golden.quick.json (per-run fingerprint
+# multisets, result metrics and rendered-text hashes per experiment) plus
+# its leg predicates; leg workspaces land in results/smoke/golden/
 golden-check:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.golden check
 

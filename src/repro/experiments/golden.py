@@ -1,36 +1,83 @@
-"""Golden behaviour lock: pin every quick experiment's simulated results.
+"""Golden behaviour lock and the one equivalence harness.
 
 ``results/golden.quick.json`` holds, per quick experiment, the multiset of
 per-run :meth:`~repro.sim.results.RunResult.fingerprint` digests (captured
-with ``REPRO_FP_RECORDS=1``) and the experiment's ``result_metrics``. A
-refactor that changes any simulated quantity changes a fingerprint, so it
-fails the comparison, whichever execution path or fast path produced it.
+with ``REPRO_FP_RECORDS=1``), the experiment's ``result_metrics`` and the
+sha256 of its rendered quick text. A refactor that changes any simulated
+quantity changes a fingerprint, so it fails the comparison, whichever
+execution path or fast path produced it.
+
+``check`` runs the quick suite once per *leg* (:data:`LEGS`): a row of
+runner argv, environment overrides and leg predicates. Every leg writes
+its manifest and text files to ``results/smoke/golden/<leg>/`` and must
+
+* pass every experiment (the runner exits 0);
+* reproduce the golden fingerprints, ``result_metrics`` and text hashes;
+* carry the same ``alerts`` and ``analysis`` blocks as the first leg;
+* satisfy its own predicates.
+
+A leg that raises or exits non-zero is recorded as a stage-tagged problem
+(``leg jobs2: run: ...``; failed checks read ``leg strict: check: ...``)
+and the remaining legs still run.
 
 Usage::
 
-    python -m repro.experiments.golden check    # whole quick suite
+    python -m repro.experiments.golden check    # every leg
     python -m repro.experiments.golden write    # regenerate the file
 
-``check`` exits non-zero and names every experiment whose fingerprints or
-metrics differ from the file. ``write`` regenerates it; a change that does
-so must say in CHANGES.md which experiment changed and why. This is the
-``make golden-check`` target; tier-1 re-derives the cheap experiments.
+``check`` exits 1 on any problem; it is ``make golden-check`` and the CI
+``equivalence`` job. ``write`` regenerates the file; a change that does so
+must say in CHANGES.md which experiment changed and why.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import math
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 #: The committed golden file, relative to the repository root.
 GOLDEN_PATH = Path(__file__).resolve().parents[3] / "results" / "golden.quick.json"
 
-SCHEMA = "repro.golden/v1"
+#: Per-leg workspaces (manifest + ``--out`` text files); gitignored.
+LEG_ROOT = GOLDEN_PATH.parent / "smoke" / "golden"
+
+SCHEMA = "repro.golden/v2"
+
+#: Variables a leg may set. ``--no-compiled-tier`` sets
+#: ``REPRO_COMPILED_TIER`` in-process on purpose (so pool workers inherit
+#: it), so every one is cleared before and restored after each capture.
+_LEG_VARS = ("REPRO_FP_RECORDS", "REPRO_COMPILED_TIER", "REPRO_COMPILED_NUMPY")
+
+Manifest = dict[str, Any]
+Predicate = Callable[[Manifest], list[str]]
+
+
+@contextmanager
+def fingerprint_capture(env: Mapping[str, str] | None = None) -> Iterator[None]:
+    """Record per-run fingerprints (``REPRO_FP_RECORDS=1``) inside the
+    block, with ``env`` overrides on top; restore the environment after."""
+    env = dict(env or {})
+    saved = {key: os.environ.pop(key, None) for key in (*_LEG_VARS, *env)}
+    os.environ["REPRO_FP_RECORDS"] = "1"
+    os.environ.update(env)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
 def normalise(value: Any) -> Any:
@@ -38,43 +85,51 @@ def normalise(value: Any) -> Any:
     return json.loads(json.dumps(value, sort_keys=True))
 
 
+def text_sha256(text: str) -> str:
+    """Digest of a rendered text file, as ``--out`` writes it."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def entry(record: dict[str, Any], out_dir: Path) -> dict[str, Any]:
+    """The golden entry of one passed manifest record whose text was
+    written to ``out_dir`` by a ``--quick --out`` run."""
+    from repro.experiments.runner import artifact_stem
+
+    text = (out_dir / f"{artifact_stem(record['id'], True)}.txt").read_text()
+    return normalise({
+        "fingerprints": sorted(record.get("fingerprints", [])),
+        "result_metrics": record.get("result_metrics", {}),
+        "text_sha256": text_sha256(text),
+    })
+
+
 def capture(ids: list[str] | None = None) -> dict[str, dict[str, Any]]:
     """Run quick experiments (all when ``ids`` is None) with per-run
-    fingerprint capture; return ``{id: {"fingerprints", "result_metrics"}}``.
-
-    Raises RuntimeError if any experiment fails: a failed run has no
-    results to lock.
-    """
+    fingerprint capture and the analysis block off; return their golden
+    entries. Raises RuntimeError if any experiment fails: a failed run
+    has no results to lock."""
     from repro.experiments.registry import all_experiments, get
     from repro.experiments.runner import run_entries
 
     entries = [get(i) for i in ids] if ids else all_experiments()
-    saved = os.environ.get("REPRO_FP_RECORDS")
-    os.environ["REPRO_FP_RECORDS"] = "1"
-    try:
+    with tempfile.TemporaryDirectory() as tmp, fingerprint_capture():
+        out = Path(tmp)
         records, _wall = run_entries(
             entries,
             quick=True,
+            out=out,
             stdout=io.StringIO(),
             stderr=io.StringIO(),
             analysis=False,
         )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_FP_RECORDS", None)
-        else:
-            os.environ["REPRO_FP_RECORDS"] = saved
-    out: dict[str, dict[str, Any]] = {}
-    for record in records:
-        if record["status"] != "passed":
-            raise RuntimeError(
-                f"{record['id']} did not pass: {record.get('error')}"
-            )
-        out[record["id"]] = normalise({
-            "fingerprints": sorted(record.get("fingerprints", [])),
-            "result_metrics": record.get("result_metrics", {}),
-        })
-    return out
+        fresh: dict[str, dict[str, Any]] = {}
+        for record in records:
+            if record["status"] != "passed":
+                raise RuntimeError(
+                    f"{record['id']} did not pass: {record.get('error')}"
+                )
+            fresh[record["id"]] = entry(record, out)
+    return fresh
 
 
 def load(path: Path = GOLDEN_PATH) -> dict[str, dict[str, Any]]:
@@ -117,28 +172,250 @@ def compare(
                     f"{exp_id}: result_metrics[{key!r}] = {got_m.get(key)!r}, "
                     f"golden {want_m.get(key)!r}"
                 )
+        if got.get("text_sha256") != want.get("text_sha256"):
+            problems.append(f"{exp_id}: rendered text differs from the golden text")
     return problems
+
+
+# -- leg predicates: each reads one parsed manifest -------------------------
+
+
+def _record(manifest: Manifest, exp_id: str) -> dict[str, Any] | None:
+    return next((e for e in manifest["experiments"] if e["id"] == exp_id), None)
+
+
+def _total(manifest: Manifest, block: str, key: str) -> float:
+    return sum(e.get(block, {}).get(key, 0) for e in manifest["experiments"])
+
+
+def e20_resilience(manifest: Manifest) -> list[str]:
+    """E20's alerts page on the unprotected arm only past its calm
+    windows and never on the full arm; shedding beats the unprotected
+    p99 and protection improves goodput."""
+    from repro.experiments.e20_resilience import chain_config
+
+    record = _record(manifest, "E20")
+    if record is None:
+        return ["E20: not in the manifest"]
+    slos = {s["spec"]["name"]: s for s in record.get("alerts", {}).get("slos", [])}
+    unprot, full = slos.get("E20-unprotected"), slos.get("E20-full")
+    if unprot is None or full is None:
+        return ["E20: the alerts block lacks the unprotected or full SLO"]
+    problems = []
+    if unprot["fired"] <= 0:
+        problems.append("E20: the unprotected arm never paged under overload")
+    calm = chain_config("unprotected", True).calm_cycles // unprot["window_cycles"]
+    early = [e["window"] for e in unprot["events"] if e["window"] < calm]
+    if early:
+        problems.append(
+            f"E20: alerts fired inside the calm windows (indices {early} < {calm})"
+        )
+    if full["fired"] != 0:
+        problems.append(f"E20: the full-policy arm paged {full['fired']}x")
+    claims = record.get("result_metrics", {})
+    shed_ratio = claims.get("shed_vs_unprotected_p99")
+    if shed_ratio is None or shed_ratio >= 1.0:
+        problems.append(
+            f"E20: shed p99 / unprotected p99 = {shed_ratio!r} (want < 1)"
+        )
+    if not claims.get("goodput_full", 0) > claims.get("goodput_unprotected", 1):
+        problems.append("E20: full-policy goodput does not beat unprotected")
+    return problems
+
+
+def e21_verdicts(manifest: Manifest) -> list[str]:
+    """Every declared E21 assumption is judged, and at least one is
+    refuted with a counterexample configuration."""
+    from repro.experiments.e21_refutation import declared_assumptions
+
+    record = _record(manifest, "E21")
+    if record is None:
+        return ["E21: not in the manifest"]
+    verdicts = record.get("analysis", {}).get("assumptions", [])
+    declared = {a.name for a in declared_assumptions()}
+    judged = {v["assumption"] for v in verdicts}
+    problems = []
+    if judged != declared:
+        problems.append(
+            f"E21: verdicts ({sorted(judged)}) do not cover the declared "
+            f"assumptions ({sorted(declared)})"
+        )
+    refuted = [v for v in verdicts if v["verdict"] == "refuted"]
+    if not refuted:
+        problems.append("E21: the sweep refuted nothing")
+    for verdict in refuted:
+        ce = verdict.get("counterexample")
+        if not ce or not (ce.get("point") or ce.get("from")):
+            problems.append(
+                f"E21: refuted {verdict['assumption']!r} carries no "
+                "counterexample configuration"
+            )
+    return problems
+
+
+def every_experiment_classified(manifest: Manifest) -> list[str]:
+    """Each experiment has a top-down classification whose level-1
+    shares sum to one."""
+    problems = []
+    for exp in manifest["experiments"]:
+        cls = exp.get("analysis", {}).get("classification")
+        if not cls or not cls.get("path"):
+            problems.append(f"{exp['id']}: no top-down classification")
+            continue
+        total = sum(cls["levels"][0]["shares"].values())
+        if not math.isclose(total, 1.0, abs_tol=1e-6):
+            problems.append(f"{exp['id']}: level-1 shares sum to {total!r}, not 1")
+    return problems
+
+
+def compiled_tier_engaged(manifest: Manifest) -> list[str]:
+    """The compiled tier lowers and batches, with an op hit rate at least
+    the macro quantum hit rate."""
+    runs = _total(manifest, "compiled", "compiled_runs")
+    segments = _total(manifest, "compiled", "compiled_segments")
+    if runs <= 0 or segments <= 0:
+        return [
+            f"compiled tier never engaged: {runs:.0f} lowered runs, "
+            f"{segments:.0f} batched segments"
+        ]
+    ticks = _total(manifest, "macro", "timer_ticks")
+    if ticks <= 0:
+        return ["zero scheduler quanta: the macro hit rate has no denominator"]
+    fetched = _total(manifest, "compiled", "compiled_ops_fetched")
+    ops = _total(manifest, "compiled", "compiled_ops")
+    compiled_rate = ops / fetched if fetched else 0.0
+    macro_rate = _total(manifest, "macro", "quanta_batched") / ticks
+    if compiled_rate < macro_rate:
+        return [
+            f"compiled hit rate {compiled_rate:.1%} is below the macro hit "
+            f"rate {macro_rate:.1%}"
+        ]
+    return []
+
+
+def no_batched_segments(manifest: Manifest) -> list[str]:
+    """With the compiled tier off, no segment is batched."""
+    segments = _total(manifest, "compiled", "compiled_segments")
+    return [f"tier off but {segments:.0f} segments batched"] if segments else []
+
+
+# -- legs -------------------------------------------------------------------
+
+
+class Leg(NamedTuple):
+    """One quick-suite run: extra runner argv, env overrides, predicates."""
+
+    name: str
+    argv: tuple[str, ...] = ()
+    env: Mapping[str, str] = {}
+    checks: tuple[Predicate, ...] = ()
+
+
+#: The first leg is the reference for the ``alerts``/``analysis`` blocks.
+LEGS: tuple[Leg, ...] = (
+    Leg(
+        "strict",
+        ("--lint-strict",),
+        checks=(
+            e20_resilience,
+            e21_verdicts,
+            every_experiment_classified,
+            compiled_tier_engaged,
+        ),
+    ),
+    Leg("jobs2", ("--jobs", "2")),
+    Leg("no-compiled-tier", ("--no-compiled-tier",), checks=(no_batched_segments,)),
+    Leg("no-numpy", env={"REPRO_COMPILED_NUMPY": "0"}),
+)
+
+
+def run_leg(leg: Leg, out_dir: Path) -> Manifest:
+    """Run one leg into a fresh ``out_dir``; return its parsed manifest.
+    Raises if the runner raises or exits non-zero; it exits 0 only when
+    every experiment passed and no fabric job failed (its stderr names
+    the failures)."""
+    from repro.experiments.runner import main as run_suite
+
+    shutil.rmtree(out_dir, ignore_errors=True)
+    manifest = out_dir / "manifest.json"
+    argv = ["--quick", "--manifest", str(manifest), "--out", str(out_dir), *leg.argv]
+    env_note = "".join(f"{k}={v} " for k, v in leg.env.items())
+    print(
+        f"== golden leg {leg.name!r}: {env_note}repro.experiments {' '.join(argv)}",
+        flush=True,
+    )
+    with fingerprint_capture(leg.env):
+        code = run_suite(argv)
+    if code != 0:
+        raise RuntimeError(f"runner exited {code}")
+    parsed: Manifest = json.loads(manifest.read_text())
+    return parsed
+
+
+def leg_problems(
+    leg: Leg,
+    manifest: Manifest,
+    out_dir: Path,
+    golden: dict[str, dict[str, Any]],
+    reference: Manifest,
+) -> list[str]:
+    """Every check one leg's manifest fails (empty: the leg is clean)."""
+    problems: list[str] = []
+    fresh: dict[str, dict[str, Any]] = {}
+    for record in manifest["experiments"]:
+        exp_id = record["id"]
+        fresh[exp_id] = entry(record, out_dir)
+        ref = _record(reference, exp_id)
+        for block in ("alerts", "analysis"):
+            if ref is not None and record.get(block) != ref.get(block):
+                problems.append(
+                    f"{exp_id}: {block} block differs from the first leg's"
+                )
+    problems += compare(golden, fresh)
+    for predicate in leg.checks:
+        problems += predicate(manifest)
+    return problems
+
+
+def check(legs: tuple[Leg, ...] = LEGS, root: Path = LEG_ROOT) -> int:
+    """Run every leg and check it; print the problems and return the exit
+    code (1 on any problem). A failing leg never stops the next one."""
+    golden = load()
+    problems: list[str] = []
+    reference: Manifest | None = None
+    for leg in legs:
+        out_dir = root / leg.name
+        stage = "run"
+        try:
+            manifest = run_leg(leg, out_dir)
+            reference = reference or manifest
+            stage = "check"
+            found = leg_problems(leg, manifest, out_dir, golden, reference)
+        except Exception as exc:  # recorded, not raised: later legs still run
+            found = [f"{type(exc).__name__}: {exc}"]
+        problems += [f"leg {leg.name}: {stage}: {p}" for p in found]
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        print(f"golden-check FAILED: {len(problems)} problem(s)", file=sys.stderr)
+        return 1
+    print(f"golden-check OK: {len(legs)} legs match {GOLDEN_PATH}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.golden",
-        description="Check (or regenerate) the golden quick-suite results.",
+        description="Check every equivalence leg against (or regenerate) "
+        "the golden quick-suite results.",
     )
     parser.add_argument("action", choices=("check", "write"))
     args = parser.parse_args(argv)
+    if args.action == "check":
+        return check()
     fresh = capture()
-    if args.action == "write":
-        write(fresh)
-        print(f"wrote {len(fresh)} experiments to {GOLDEN_PATH}")
-        return 0
-    problems = compare(load(), fresh)
-    for problem in problems:
-        print(problem, file=sys.stderr)
-    if problems:
-        print(f"golden-check FAILED: {len(problems)} difference(s)", file=sys.stderr)
-        return 1
-    print(f"golden-check OK: {len(fresh)} experiments match {GOLDEN_PATH}")
+    write(fresh)
+    print(f"wrote {len(fresh)} experiments to {GOLDEN_PATH}")
     return 0
 
 

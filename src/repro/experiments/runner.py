@@ -240,7 +240,7 @@ def _emit(
         # Top-down bottleneck classification over the experiment's summed
         # ground-truth counts, plus any refutation verdicts it published.
         # Pure host-side post-processing of recorded counts: fingerprints
-        # and all simulated quantities are identical with --no-analysis.
+        # and all simulated quantities are identical without it.
         analysis_block: dict[str, Any] = {}
         counts = collector.counts_total()
         if counts is not None:
@@ -254,9 +254,9 @@ def _emit(
             record["analysis"] = analysis_block
     fingerprints = [r.fingerprint for r in collector.records if r.fingerprint]
     if fingerprints:
-        # Captured only under REPRO_FP_RECORDS=1 (the compiled-tier
-        # equivalence smoke); record order can differ between serial and
-        # pooled sweeps, so consumers compare these as multisets.
+        # Captured only under REPRO_FP_RECORDS=1 (the golden equivalence
+        # harness); record order can differ between serial and pooled
+        # sweeps, so consumers compare these as multisets.
         record["fingerprints"] = fingerprints
     windows = collector.windows_summary()
     if windows is not None:
@@ -581,15 +581,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--no-analysis",
-        action="store_true",
-        help=(
-            "skip the manifest 'analysis' block (top-down bottleneck "
-            "classification + refutation verdicts); a diff switch — "
-            "simulated results and fingerprints are identical either way"
-        ),
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list experiments and exit"
     )
     lint_group = parser.add_mutually_exclusive_group()
@@ -706,7 +697,6 @@ def main(argv: list[str] | None = None) -> int:
         window_spec=window_spec,
         stream_dir=args.stream_dir,
         timeout=args.timeout,
-        analysis=not args.no_analysis,
     )
     passed = sum(1 for r in records if r["status"] == "passed")
     failed = len(records) - passed

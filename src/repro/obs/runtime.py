@@ -65,7 +65,7 @@ class EngineRunRecord:
     #: stops a downstream collector from exporting them a second time.
     windows_streamed: bool = False
     #: ``RunResult.fingerprint()`` digest, captured only when the
-    #: ``REPRO_FP_RECORDS`` env var is ``1`` (equivalence smokes and
+    #: ``REPRO_FP_RECORDS`` env var is ``1`` (the golden harness and
     #: property tests); hashing every run costs ~1ms each, which is real
     #: money on the bench path, so the default records no fingerprint.
     fingerprint: str = ""

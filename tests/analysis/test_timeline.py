@@ -126,3 +126,11 @@ class TestGantt:
         row = out.splitlines()[0]
         bar = row.split("|")[1]
         assert len(bar) == 20
+
+
+def test_package_root_exports_the_timeline_interval_once():
+    import repro.analysis as analysis
+    from repro.analysis import timeline
+
+    assert len(analysis.__all__) == len(set(analysis.__all__))
+    assert analysis.Interval is timeline.Interval

@@ -234,21 +234,13 @@ class TestE20Resilience:
     def e20_run(self):
         """The quick run plus its per-run fingerprints, so the golden
         comparison below reuses this (the suite's costliest) simulation."""
-        import os
-
-        from repro.experiments import e20_resilience
+        from repro.experiments import e20_resilience, golden
         from repro.obs import runtime as obs_runtime
 
-        saved = os.environ.get("REPRO_FP_RECORDS")
-        os.environ["REPRO_FP_RECORDS"] = "1"
-        try:
-            with obs_runtime.collect(label="E20") as collector:
-                result = e20_resilience.run(quick=True)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_FP_RECORDS", None)
-            else:
-                os.environ["REPRO_FP_RECORDS"] = saved
+        with golden.fingerprint_capture(), obs_runtime.collect(
+            label="E20"
+        ) as collector:
+            result = e20_resilience.run(quick=True)
         return result, sorted(r.fingerprint for r in collector.records)
 
     @pytest.fixture(scope="class")
@@ -263,6 +255,7 @@ class TestE20Resilience:
             "E20": {
                 "fingerprints": fingerprints,
                 "result_metrics": dict(result.metrics),
+                "text_sha256": golden.text_sha256(result.render() + "\n"),
             }
         })
         assert golden.compare(golden.load(), fresh) == []

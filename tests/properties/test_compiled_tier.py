@@ -342,6 +342,32 @@ def test_contended_lock_bails_to_interpreter_exactly():
     assert on.metrics.get("fastpath_bailout.compiled_contended", 0) > 0
 
 
+def test_fault_plan_hard_off_batches_nothing_tier_on_or_off():
+    """Fault timing depends on interpreted op boundaries, so a fault plan
+    disables lowering entirely: under a benign forced-bailout plan the
+    lock+read program batches zero segments with the tier configured on
+    or off and stays fingerprint-identical, while the same program
+    without the plan does batch (so the check is not vacuous)."""
+    from repro.faults.plan import FaultPlan, force_bailout
+
+    plan = FaultPlan((force_bailout(),), label="bailout-benign")
+    runs = {}
+    for tier in (True, False):
+        for faulted in (True, False):
+            config = dataclasses.replace(
+                single_core_config(seed=23, timeslice=200_000),
+                compiled_tier=tier,
+            )
+            if faulted:
+                config = config.with_faults(plan)
+            runs[tier, faulted] = run_program(
+                _locked_reader_specs(), config, lower=_locked_reader_specs
+            )
+    for tier in (True, False):
+        assert runs[tier, True].metrics.get("compiled_segments", 0) == 0
+    assert runs[True, True].fingerprint() == runs[False, True].fingerprint()
+    assert runs[True, False].metrics.get("compiled_segments", 0) > 0
+
 def _forked_specs(bank_credit):
     """A ``wait_key`` whose result depends on whether a credit was banked:
     True (consumed without blocking) takes the alternate continuation,
