@@ -46,8 +46,8 @@ fault-smoke:
 		tests/faults tests/properties/test_fault_injection.py
 
 # behaviour lock and equivalence harness: the quick suite once per leg
-# (strict lint gate, --jobs 2, --no-compiled-tier, numpy prefix builder
-# off), every leg against results/golden.quick.json (per-run fingerprint
+# (strict lint gate, --jobs 2, E20 and E21 each under --jobs 2,
+# --no-compiled-tier, numpy prefix builder off), every leg against results/golden.quick.json (per-run fingerprint
 # multisets, result metrics and rendered-text hashes per experiment) plus
 # its leg predicates; leg workspaces land in results/smoke/golden/
 golden-check:

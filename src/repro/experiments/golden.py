@@ -8,10 +8,12 @@ quantity changes a fingerprint, so it fails the comparison, whichever
 execution path or fast path produced it.
 
 ``check`` runs the quick suite once per *leg* (:data:`LEGS`): a row of
-runner argv, environment overrides and leg predicates. Every leg writes
-its manifest and text files to ``results/smoke/golden/<leg>/`` and must
+runner argv, environment overrides, leg predicates and, for legs that
+pool inside one experiment, that experiment's id. Every leg writes its
+manifest and text files to ``results/smoke/golden/<leg>/`` and must
 
 * pass every experiment (the runner exits 0);
+* run exactly its experiments (the whole golden suite unless it names some);
 * reproduce the golden fingerprints, ``result_metrics`` and text hashes;
 * carry the same ``alerts`` and ``analysis`` blocks as the first leg;
 * satisfy its own predicates.
@@ -303,15 +305,21 @@ def no_batched_segments(manifest: Manifest) -> list[str]:
 
 
 class Leg(NamedTuple):
-    """One quick-suite run: extra runner argv, env overrides, predicates."""
+    """One quick run: extra runner argv, env overrides, predicates, and
+    the experiment ids it runs (empty: the whole suite)."""
 
     name: str
     argv: tuple[str, ...] = ()
     env: Mapping[str, str] = {}
     checks: tuple[Predicate, ...] = ()
+    ids: tuple[str, ...] = ()
 
 
 #: The first leg is the reference for the ``alerts``/``analysis`` blocks.
+#: ``--jobs 2`` over the whole suite pools whole experiments (each worker
+#: runs its experiment serially); a lone experiment under ``--jobs 2``
+#: instead fans its own runs out, which is how E20's arms and E21's sweep
+#: are merged from pool workers.
 LEGS: tuple[Leg, ...] = (
     Leg(
         "strict",
@@ -324,6 +332,8 @@ LEGS: tuple[Leg, ...] = (
         ),
     ),
     Leg("jobs2", ("--jobs", "2")),
+    Leg("e20-pooled", ("--jobs", "2"), ids=("E20",)),
+    Leg("e21-pooled", ("--jobs", "2"), ids=("E21",)),
     Leg("no-compiled-tier", ("--no-compiled-tier",), checks=(no_batched_segments,)),
     Leg("no-numpy", env={"REPRO_COMPILED_NUMPY": "0"}),
 )
@@ -338,7 +348,10 @@ def run_leg(leg: Leg, out_dir: Path) -> Manifest:
 
     shutil.rmtree(out_dir, ignore_errors=True)
     manifest = out_dir / "manifest.json"
-    argv = ["--quick", "--manifest", str(manifest), "--out", str(out_dir), *leg.argv]
+    argv = [
+        "--quick", *leg.ids, "--manifest", str(manifest), "--out", str(out_dir),
+        *leg.argv,
+    ]
     env_note = "".join(f"{k}={v} " for k, v in leg.env.items())
     print(
         f"== golden leg {leg.name!r}: {env_note}repro.experiments {' '.join(argv)}",
@@ -360,14 +373,20 @@ def leg_problems(
     reference: Manifest,
 ) -> list[str]:
     """Every check one leg's manifest fails (empty: the leg is clean)."""
-    problems: list[str] = []
+    ran = [record["id"] for record in manifest["experiments"]]
+    expected = set(leg.ids or golden)
+    problems = [f"{i}: not run by this leg" for i in sorted(expected - set(ran))]
+    problems += [f"{i}: run but not expected" for i in sorted(set(ran) - expected)]
     fresh: dict[str, dict[str, Any]] = {}
     for record in manifest["experiments"]:
         exp_id = record["id"]
         fresh[exp_id] = entry(record, out_dir)
         ref = _record(reference, exp_id)
+        if ref is None:
+            problems.append(f"{exp_id}: not in the first leg's manifest")
+            continue
         for block in ("alerts", "analysis"):
-            if ref is not None and record.get(block) != ref.get(block):
+            if record.get(block) != ref.get(block):
                 problems.append(
                     f"{exp_id}: {block} block differs from the first leg's"
                 )

@@ -6,9 +6,10 @@ the committed file. E20 is compared inside its own class fixture (tests/
 experiments/test_experiments.py) so it is not simulated twice; E19 and
 E20 are covered by the equivalence harness (``python -m
 repro.experiments.golden check``, ``make golden-check``), which runs the
-whole quick suite once per leg. The harness's own pieces are tested here:
-each leg predicate against one manifest that violates it and one that
-satisfies it, and a failing leg that must not stop the next one.
+quick suite once per leg. The harness's own pieces are tested here: each
+leg predicate against one manifest that violates it and one that
+satisfies it, the experiment-set check, and a failing leg that must not
+stop the next one.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def test_every_predicate_is_on_a_leg():
 
 
 def test_failed_leg_is_recorded_and_the_next_leg_still_runs(tmp_path, capsys):
-    legs = (golden.Leg("E99", ("E99",)), golden.Leg("E1", ("E1",)))
+    legs = (golden.Leg("E99", ids=("E99",)), golden.Leg("E1", ids=("E1",)))
     assert golden.check(legs, root=tmp_path) == 1
     problems = capsys.readouterr().err.splitlines()
     problems = [p for p in problems if p.startswith("leg ")]
@@ -262,3 +263,26 @@ def test_failed_leg_is_recorded_and_the_next_leg_still_runs(tmp_path, capsys):
     manifest = (tmp_path / "E1" / "manifest.json").read_text()
     assert '"passed": 1' in manifest
     assert (tmp_path / "E1" / "e1.quick.txt").exists()
+
+
+def test_leg_must_run_every_expected_experiment(tmp_path):
+    record = _experiment("E1", fingerprints=["a"], result_metrics={"x": 1.0})
+    (tmp_path / "e1.quick.txt").write_text("E1 text\n")
+    want = {"E1": golden.entry(record, tmp_path), "E2": {}}
+    manifest = {"experiments": [record]}
+    suite = golden.Leg("suite")
+    assert golden.leg_problems(suite, manifest, tmp_path, want, manifest) == [
+        "E2: not run by this leg"
+    ]
+    only_e1 = golden.Leg("e1", ids=("E1",))
+    assert golden.leg_problems(only_e1, manifest, tmp_path, want, manifest) == []
+    assert golden.leg_problems(only_e1, manifest, tmp_path, want, {
+        "experiments": []
+    }) == ["E1: not in the first leg's manifest"]
+
+
+def test_e20_and_e21_are_pooled_inside_the_experiment():
+    # A lone experiment under --jobs 2 fans its own runs over pool
+    # workers; inside the whole-suite jobs2 leg each runs serially.
+    pooled = {leg.ids for leg in golden.LEGS if "--jobs" in leg.argv}
+    assert {("E20",), ("E21",)} <= pooled
