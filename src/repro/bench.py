@@ -1,9 +1,12 @@
 """Tracked performance baseline: ``python -m repro.bench``.
 
 Measures the workloads the perf-sensitive subsystems are judged on and
-writes the results as ``BENCH_PR9.json`` (schema ``repro.bench/v1``,
+writes the results as ``BENCH_PR15.json`` (schema ``repro.bench/v1``,
 documented in docs/performance.md):
 
+* **host calibration** — a fixed pure-Python loop timed in-process
+  (:func:`calibrate`) before and after the sweep; wall times divided by
+  the mean of the two are host-normalised.
 * **contention microbench** — two threads on two cores alternating long
   solo compute stretches (many scheduler quanta: the macro-stepping sweet
   spot) with short critical sections on a shared lock and a LiMiT counter
@@ -21,17 +24,16 @@ documented in docs/performance.md):
   alerting layer. Fingerprints must match (zero perturbation) and the
   overhead must stay under :data:`STREAM_OVERHEAD_MAX`.
 
-``--check BASELINE.json`` is the CI regression gate. Wall-clock seconds are
-not comparable across machines, so the gate compares machine-independent
-quantities against the committed baseline: the deterministic sweep piece
-count (``sim_events`` — un-fusing ops or losing a fast path inflates it),
-the sweep macro and compiled-segment hit rates, and the microbench on/off
-speedup (a ratio of two runs on the *same* host). Any of them regressing
-by more than
-``--threshold`` (default 25%) fails the check, as does same-host
-streaming overhead above the absolute :data:`STREAM_OVERHEAD_MAX` cap or
-a fresh sweep compiled hit rate below the absolute
-:data:`COMPILED_HIT_MIN` floor.
+``--check BASELINE.json`` is the CI regression gate. Raw wall-clock seconds
+are not comparable across machines, so the gate compares against the
+committed baseline: the deterministic sweep piece count (``sim_events`` —
+un-fusing ops or losing a fast path inflates it), the sweep macro hit
+rate and the microbench on/off speedup (a ratio of two runs on the *same*
+host). Any of them regressing by more than ``--threshold`` (default 25%)
+fails the check. The sweep's host-normalised wall time (wall seconds over
+calibration seconds) fails it above :data:`WALL_THRESHOLD`, as does
+same-host streaming overhead above the absolute
+:data:`STREAM_OVERHEAD_MAX` cap.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -54,16 +58,23 @@ from repro.sim.program import ThreadSpec
 from repro.workloads.base import COMPUTE_RATES
 
 SCHEMA = "repro.bench/v1"
-DEFAULT_OUT = "BENCH_PR9.json"
+DEFAULT_OUT = "BENCH_PR15.json"
 
 #: Hard cap on the streaming-observability overhead ratio (same-host A/B).
 STREAM_OVERHEAD_MAX = 0.05
 
-#: Absolute floor on the fresh sweep compiled-segment hit rate. PR 7's
-#: tier measured 0.512 on the quick sweep; the PR 8 lock-pair/safe-read/
-#: fork lowering lifted it to ~0.80, so 0.65 keeps real headroom over the
-#: old baseline while tolerating workload drift.
-COMPILED_HIT_MIN = 0.65
+#: Allowed growth of the sweep's normalised wall time (wall seconds over
+#: calibration seconds) against the baseline. Generous on purpose: the
+#: calibration loop tracks the host only roughly, and the gate is meant to
+#: catch a lost fast path or a new hot spot, not a few percent.
+WALL_THRESHOLD = 0.5
+
+#: Calibration loop: CALIB_LOOKUPS lookups at fixed pseudo-random keys of
+#: a CALIB_TABLE-entry dict (larger than the CPU caches), CALIB_REPEATS
+#: times; the median repeat is the host's time unit.
+CALIB_TABLE = 400_000
+CALIB_LOOKUPS = 200_000
+CALIB_REPEATS = 5
 
 #: Microbench shape: the two threads alternate long critical sections on a
 #: shared lock. While one computes for many scheduler quanta, the other is
@@ -115,6 +126,23 @@ def _run_micro(iters: int, macro: bool) -> dict:
     }
 
 
+def calibrate() -> float:
+    """Seconds for the fixed pure-Python calibration loop (median repeat).
+    Slowdowns on a shared host come mostly from the memory system, which
+    dict lookups at scattered keys follow more closely than arithmetic."""
+    rng = random.Random(0)
+    table = {i: i for i in range(CALIB_TABLE)}
+    keys = [rng.randrange(CALIB_TABLE) for _ in range(CALIB_LOOKUPS)]
+    times = []
+    for _ in range(CALIB_REPEATS):
+        started = time.perf_counter()
+        total = 0
+        for key in keys:
+            total += table[key]
+        times.append(time.perf_counter() - started)
+    return statistics.median(times)
+
+
 def run_microbench(quick: bool) -> dict:
     """Contention microbench, macro-stepping on vs off (same process)."""
     iters = MICRO_ITERS_QUICK if quick else MICRO_ITERS
@@ -154,24 +182,11 @@ def run_sweep(quick: bool) -> dict:
             sub = collector.records[n_before:]
             quanta = _total(sub, "quanta_batched")
             ticks = _total(sub, "timer_ticks")
-            compiled_ops = _total(sub, "compiled_ops")
-            # Hit-rate denominator: ops fetched by runs that lowered tables
-            # (mirrors RunCollector.compiled_summary — opt-out workloads
-            # must not dilute the rate of the runs the tier serves).
-            fetched = sum(
-                r.metrics.get("ops_fetched", 0)
-                for r in sub
-                if r.metrics.get("compiled_tables", 0) > 0
-            )
             experiments[entry.exp_id] = {
                 "wall_seconds": time.perf_counter() - started,
                 "sim_events": sum(r.sim_events for r in sub),
                 "macro_steps": _total(sub, "macro_steps"),
                 "macro_hit_rate": quanta / ticks if ticks else 0.0,
-                "compiled_segments": _total(sub, "compiled_segments"),
-                "compiled_hit_rate": (
-                    compiled_ops / fetched if fetched else 0.0
-                ),
             }
     wall = time.perf_counter() - total_started
     snap = collector.metrics_snapshot()
@@ -184,10 +199,6 @@ def run_sweep(quick: bool) -> dict:
         "macro_hit_rate": snap["macro_hit_rate"],
         "fast_reads": snap["fast_reads"],
         "fastpath_bailouts": snap["fastpath_bailouts"],
-        "compiled_runs": snap["compiled_runs"],
-        "compiled_segments": snap["compiled_segments"],
-        "compiled_ops": snap["compiled_ops"],
-        "compiled_hit_rate": snap["compiled_hit_rate"],
         "bailouts": collector.bailouts_by_reason(),
         "experiments": experiments,
     }
@@ -270,8 +281,6 @@ def run_streaming_overhead(quick: bool) -> dict:
     in either arm cannot move. The runs are deterministic, so every
     repetition compares the same work on both sides.
     """
-    import statistics
-
     requests = STREAM_REQUESTS_QUICK if quick else STREAM_REQUESTS
     offs, ons, ratios = [], [], []
     for rep in range(STREAM_REPEATS):
@@ -308,22 +317,38 @@ def run_streaming_overhead(quick: bool) -> dict:
 
 
 def measure(quick: bool) -> dict:
+    microbench = run_microbench(quick)
+    # Calibrated on both sides of the sweep, whose wall time it normalises:
+    # a shared host's speed drifts over the sweep's seconds.
+    calib = [calibrate()]
+    sweep = run_sweep(quick)
+    calib.append(calibrate())
     return {
         "schema": SCHEMA,
         "quick": quick,
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "calib_seconds": statistics.mean(calib),
         },
-        "microbench": run_microbench(quick),
-        "sweep": run_sweep(quick),
+        "microbench": microbench,
+        "sweep": sweep,
         "streaming": run_streaming_overhead(quick),
     }
 
 
+def normalised_wall(measurement: dict) -> float:
+    """The sweep's wall time in calibration-loop units."""
+    return (
+        measurement["sweep"]["wall_seconds"]
+        / measurement["host"]["calib_seconds"]
+    )
+
+
 def check(current: dict, baseline: dict, threshold: float, out) -> int:
     """Compare a fresh measurement against the committed baseline using
-    machine-independent quantities; returns a process exit code."""
+    machine-independent and host-normalised quantities; returns a process
+    exit code."""
     failures: list[str] = []
 
     def gate(label: str, fresh: float, committed: float, higher_is_better: bool):
@@ -355,24 +380,19 @@ def check(current: dict, baseline: dict, threshold: float, out) -> int:
         baseline["sweep"]["macro_hit_rate"],
         higher_is_better=True,
     )
-    if "compiled_hit_rate" in baseline["sweep"]:
-        # Baselines from before the compiled tier existed lack the key;
-        # gate() skips zero baselines, this skips absent ones explicitly.
-        gate(
-            "sweep compiled_hit_rate",
-            current["sweep"]["compiled_hit_rate"],
-            baseline["sweep"]["compiled_hit_rate"],
-            higher_is_better=True,
+    if "calib_seconds" in baseline["host"]:
+        # Baselines from before the calibration loop lack the key.
+        fresh, committed = normalised_wall(current), normalised_wall(baseline)
+        ratio = fresh / committed
+        ok = ratio <= 1 + WALL_THRESHOLD
+        print(
+            f"  [{'ok' if ok else 'FAIL'}] sweep normalised wall: "
+            f"{fresh:,.0f} vs baseline {committed:,.0f} calibration units "
+            f"({ratio:.2f}x, max {1 + WALL_THRESHOLD:.2f}x)",
+            file=out,
         )
-    compiled_rate = current["sweep"].get("compiled_hit_rate", 0.0)
-    floor_ok = compiled_rate >= COMPILED_HIT_MIN
-    print(
-        f"  [{'ok' if floor_ok else 'FAIL'}] sweep compiled_hit_rate "
-        f"floor: {compiled_rate:.1%} (min {COMPILED_HIT_MIN:.0%})",
-        file=out,
-    )
-    if not floor_ok:
-        failures.append("sweep compiled_hit_rate floor")
+        if not ok:
+            failures.append("sweep normalised wall")
     gate(
         "microbench speedup (macro off/on, same host)",
         current["microbench"]["speedup"],
@@ -449,12 +469,12 @@ def main(argv: list[str] | None = None) -> int:
         f"{micro['speedup']:.2f}x"
     )
     print(
-        f"sweep: {sweep['wall_seconds']:.2f}s, "
+        f"sweep: {sweep['wall_seconds']:.2f}s "
+        f"({normalised_wall(current):,.0f} calibration units of "
+        f"{current['host']['calib_seconds'] * 1e3:.1f} ms), "
         f"{sweep['sim_events']:,} pieces "
         f"({sweep['pieces_per_sec']:,.0f}/s), "
         f"macro hit rate {sweep['macro_hit_rate']:.1%}, "
-        f"compiled hit rate {sweep['compiled_hit_rate']:.1%} "
-        f"({sweep['compiled_segments']:,.0f} segments), "
         f"{sweep['fast_reads']:,.0f} fast reads"
     )
     streaming = current["streaming"]

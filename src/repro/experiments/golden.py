@@ -8,8 +8,8 @@ quantity changes a fingerprint, so it fails the comparison, whichever
 execution path or fast path produced it.
 
 ``check`` runs the quick suite once per *leg* (:data:`LEGS`): a row of
-runner argv, environment overrides, leg predicates and, for legs that
-pool inside one experiment, that experiment's id. Every leg writes its
+runner argv, leg predicates and, for legs that pool inside one
+experiment, that experiment's id. Every leg writes its
 manifest and text files to ``results/smoke/golden/<leg>/`` and must
 
 * pass every experiment (the runner exits 0);
@@ -18,9 +18,9 @@ manifest and text files to ``results/smoke/golden/<leg>/`` and must
 * carry the same ``alerts`` and ``analysis`` blocks as the first leg;
 * satisfy its own predicates.
 
-A leg that raises or exits non-zero is recorded as a stage-tagged problem
-(``leg jobs2: run: ...``; failed checks read ``leg strict: check: ...``)
-and the remaining legs still run.
+A leg that raises or exits non-zero (a runner usage error exits 2) is
+recorded as a stage-tagged problem (``leg jobs2: run: ...``; failed
+checks read ``leg strict: check: ...``) and the remaining legs still run.
 
 Usage::
 
@@ -45,7 +45,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 #: The committed golden file, relative to the repository root.
 GOLDEN_PATH = Path(__file__).resolve().parents[3] / "results" / "golden.quick.json"
@@ -55,31 +55,23 @@ LEG_ROOT = GOLDEN_PATH.parent / "smoke" / "golden"
 
 SCHEMA = "repro.golden/v2"
 
-#: Variables a leg may set. ``--no-compiled-tier`` sets
-#: ``REPRO_COMPILED_TIER`` in-process on purpose (so pool workers inherit
-#: it), so every one is cleared before and restored after each capture.
-_LEG_VARS = ("REPRO_FP_RECORDS", "REPRO_COMPILED_TIER", "REPRO_COMPILED_NUMPY")
-
 Manifest = dict[str, Any]
 Predicate = Callable[[Manifest], list[str]]
 
 
 @contextmanager
-def fingerprint_capture(env: Mapping[str, str] | None = None) -> Iterator[None]:
+def fingerprint_capture() -> Iterator[None]:
     """Record per-run fingerprints (``REPRO_FP_RECORDS=1``) inside the
-    block, with ``env`` overrides on top; restore the environment after."""
-    env = dict(env or {})
-    saved = {key: os.environ.pop(key, None) for key in (*_LEG_VARS, *env)}
+    block; restore the variable after."""
+    saved = os.environ.get("REPRO_FP_RECORDS")
     os.environ["REPRO_FP_RECORDS"] = "1"
-    os.environ.update(env)
     try:
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_FP_RECORDS", None)
+        else:
+            os.environ["REPRO_FP_RECORDS"] = saved
 
 
 def normalise(value: Any) -> Any:
@@ -186,10 +178,6 @@ def _record(manifest: Manifest, exp_id: str) -> dict[str, Any] | None:
     return next((e for e in manifest["experiments"] if e["id"] == exp_id), None)
 
 
-def _total(manifest: Manifest, block: str, key: str) -> float:
-    return sum(e.get(block, {}).get(key, 0) for e in manifest["experiments"])
-
-
 def e20_resilience(manifest: Manifest) -> list[str]:
     """E20's alerts page on the unprotected arm only past its calm
     windows and never on the full arm; shedding beats the unprotected
@@ -270,47 +258,15 @@ def every_experiment_classified(manifest: Manifest) -> list[str]:
     return problems
 
 
-def compiled_tier_engaged(manifest: Manifest) -> list[str]:
-    """The compiled tier lowers and batches, with an op hit rate at least
-    the macro quantum hit rate."""
-    runs = _total(manifest, "compiled", "compiled_runs")
-    segments = _total(manifest, "compiled", "compiled_segments")
-    if runs <= 0 or segments <= 0:
-        return [
-            f"compiled tier never engaged: {runs:.0f} lowered runs, "
-            f"{segments:.0f} batched segments"
-        ]
-    ticks = _total(manifest, "macro", "timer_ticks")
-    if ticks <= 0:
-        return ["zero scheduler quanta: the macro hit rate has no denominator"]
-    fetched = _total(manifest, "compiled", "compiled_ops_fetched")
-    ops = _total(manifest, "compiled", "compiled_ops")
-    compiled_rate = ops / fetched if fetched else 0.0
-    macro_rate = _total(manifest, "macro", "quanta_batched") / ticks
-    if compiled_rate < macro_rate:
-        return [
-            f"compiled hit rate {compiled_rate:.1%} is below the macro hit "
-            f"rate {macro_rate:.1%}"
-        ]
-    return []
-
-
-def no_batched_segments(manifest: Manifest) -> list[str]:
-    """With the compiled tier off, no segment is batched."""
-    segments = _total(manifest, "compiled", "compiled_segments")
-    return [f"tier off but {segments:.0f} segments batched"] if segments else []
-
-
 # -- legs -------------------------------------------------------------------
 
 
 class Leg(NamedTuple):
-    """One quick run: extra runner argv, env overrides, predicates, and
-    the experiment ids it runs (empty: the whole suite)."""
+    """One quick run: extra runner argv, predicates, and the experiment
+    ids it runs (empty: the whole suite)."""
 
     name: str
     argv: tuple[str, ...] = ()
-    env: Mapping[str, str] = {}
     checks: tuple[Predicate, ...] = ()
     ids: tuple[str, ...] = ()
 
@@ -324,18 +280,11 @@ LEGS: tuple[Leg, ...] = (
     Leg(
         "strict",
         ("--lint-strict",),
-        checks=(
-            e20_resilience,
-            e21_verdicts,
-            every_experiment_classified,
-            compiled_tier_engaged,
-        ),
+        checks=(e20_resilience, e21_verdicts, every_experiment_classified),
     ),
     Leg("jobs2", ("--jobs", "2")),
     Leg("e20-pooled", ("--jobs", "2"), ids=("E20",)),
     Leg("e21-pooled", ("--jobs", "2"), ids=("E21",)),
-    Leg("no-compiled-tier", ("--no-compiled-tier",), checks=(no_batched_segments,)),
-    Leg("no-numpy", env={"REPRO_COMPILED_NUMPY": "0"}),
 )
 
 
@@ -343,7 +292,7 @@ def run_leg(leg: Leg, out_dir: Path) -> Manifest:
     """Run one leg into a fresh ``out_dir``; return its parsed manifest.
     Raises if the runner raises or exits non-zero; it exits 0 only when
     every experiment passed and no fabric job failed (its stderr names
-    the failures)."""
+    the failures), and 2 on a usage error such as an unknown id."""
     from repro.experiments.runner import main as run_suite
 
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -352,13 +301,15 @@ def run_leg(leg: Leg, out_dir: Path) -> Manifest:
         "--quick", *leg.ids, "--manifest", str(manifest), "--out", str(out_dir),
         *leg.argv,
     ]
-    env_note = "".join(f"{k}={v} " for k, v in leg.env.items())
     print(
-        f"== golden leg {leg.name!r}: {env_note}repro.experiments {' '.join(argv)}",
+        f"== golden leg {leg.name!r}: repro.experiments {' '.join(argv)}",
         flush=True,
     )
-    with fingerprint_capture(leg.env):
-        code = run_suite(argv)
+    with fingerprint_capture():
+        try:
+            code: int | str | None = run_suite(argv)
+        except SystemExit as exc:  # argparse's parser.error()
+            code = exc.code
     if code != 0:
         raise RuntimeError(f"runner exited {code}")
     parsed: Manifest = json.loads(manifest.read_text())

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.common.errors import ExperimentError
 from repro.experiments.registry import all_experiments, get
 from repro.fabric import ResultCache, default_cache_dir
 from repro.obs import runtime as obs_runtime
@@ -233,7 +233,6 @@ def _emit(
             **collector.macro_summary(),
             "bailouts": collector.bailouts_by_reason(),
         },
-        "compiled": collector.compiled_summary(),
         "faults": collector.fault_summary(),
     }
     if analysis:
@@ -571,16 +570,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--no-compiled-tier",
-        action="store_true",
-        help=(
-            "interpret every op (sets REPRO_COMPILED_TIER=0 for this "
-            "process and its workers), disabling the pre-lowered "
-            "segment-table execution tier; results are bit-identical "
-            "either way — this is a triage/diff switch, not a mode"
-        ),
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list experiments and exit"
     )
     lint_group = parser.add_mutually_exclusive_group()
@@ -617,18 +606,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.set_defaults(fail_fast=None)
     args = parser.parse_args(argv)
 
-    if args.no_compiled_tier:
-        # The engine and the fabric cache salt both read this env var, so
-        # worker processes (which inherit the environment) follow suit.
-        os.environ["REPRO_COMPILED_TIER"] = "0"
-
     if args.list:
         for entry in all_experiments():
             print(f"{entry.exp_id:<4} {entry.title}")
         return 0
 
     if args.experiments:
-        entries = [get(e) for e in args.experiments]
+        try:
+            entries = [get(e) for e in args.experiments]
+        except ExperimentError as exc:
+            parser.error(str(exc))
     else:
         entries = all_experiments()
 

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.runner import main
 
 
@@ -28,3 +30,11 @@ class TestRunnerCli:
     def test_out_dir_full_name(self, tmp_path: Path, capsys):
         assert main(["--out", str(tmp_path), "E5"]) == 0
         assert (tmp_path / "e5.txt").exists()
+
+    def test_unknown_id_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--quick", "E99"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'E99'" in err
+        assert "Traceback" not in err

@@ -41,6 +41,35 @@ class TestExecution:
             o.result.fingerprint() for o in pooled
         ]
 
+    def test_serial_and_pool_identical_for_experiment_trials(self):
+        # Real experiment trial factories (build + extract), two seeds each.
+        from repro.experiments.base import single_core_config
+
+        trials = [
+            ("repro.experiments.e02_overhead_density.density_trial",
+             {"total": 200_000, "density": 16, "technique": "limit"}),
+            ("repro.experiments.e03_precision.PrecisionTrial",
+             {"reps": 2, "arm": "sample", "period": 50_000}),
+            ("repro.experiments.e13_multiplexing.LimitTrial",
+             {"n_phases": 4, "phase_cycles": 200_000}),
+        ]
+        jobs = [
+            fabric.RunJob(
+                workload=workload,
+                config=single_core_config(seed=seed),
+                kwargs=kwargs,
+                label=f"{workload.rsplit('.', 1)[1]}:{seed}",
+            )
+            for workload, kwargs in trials
+            for seed in (11, 4242)
+        ]
+        serial = fabric.run_many(jobs, jobs_n=1, cache=None)
+        pooled = fabric.run_many(jobs, jobs_n=2, cache=None)
+        assert len(serial) == len(pooled) == len(jobs)
+        for a, b in zip(serial, pooled):
+            assert a.result.fingerprint() == b.result.fingerprint(), a.job.label
+            assert a.extra == b.extra, a.job.label
+
     def test_records_merged_into_ambient_collector(self):
         jobs = [busy_job(seed) for seed in (1, 2)]
         with obs_runtime.collect(label="outer") as collector:

@@ -24,6 +24,26 @@ class TestKeyedEvents:
         run_threads(uniprocessor, program)
         assert order == [("woke", 0), ("waited",)]
 
+    def test_wait_result_says_whether_a_credit_was_consumed(self, quad_core):
+        # A banked credit returns True without blocking; a wait that
+        # blocks and is woken returns a falsy value.
+        got = {}
+
+        def banked(ctx):
+            yield Syscall("wake_key", ("banked", 1))
+            got["banked"] = yield Syscall("wait_key", ("banked",))
+
+        def blocked(ctx):
+            got["blocked"] = yield Syscall("wait_key", ("blocked",))
+
+        def waker(ctx):
+            yield Compute(100_000, RATES)
+            yield Syscall("wake_key", ("blocked", 1))
+
+        run_threads(quad_core, banked, blocked, waker)
+        assert got["banked"] is True
+        assert not got["blocked"]
+
     def test_wait_blocks_until_wake(self, quad_core):
         order = []
 
